@@ -35,13 +35,13 @@
 //!    recorder, slowlog, span sampling and windowed histograms all off
 //!    vs every default on — at burst depth 5 (`tracing_overhead`,
 //!    target ≤ 3% at default sampling).
-//! 8. **Stack dispatch**: the fused (monomorphized) seven-layer chain
-//!    vs the boxed `dyn Service` onion at burst 1/8/32, driven
+//! 8. **Stack dispatch**: the full seven-layer chain at batch 1, its
+//!    inline `call_one` fast path vs its own layered `call`, driven
 //!    in-process over an in-memory store (no sockets — TCP at
 //!    pipeline 1 is syscall-dominated and would mask the dispatch
-//!    cost this A/B isolates). `fused_batch1_speedup_x` is the
-//!    headline: the batch-1 inline fast path vs seven virtual calls
-//!    (target ≥ 1.3×).
+//!    cost this A/B isolates). Five interleaved pairs;
+//!    `batch1_fast_path_speedup_x` is the median of the per-pair
+//!    ratios (target ≥ 1.3×).
 //! 9. **Overload**: a write-heavy closed loop against a server whose
 //!    shard owners carry a seeded 1 ms apply stall, load shedding off
 //!    vs on (`--shed-queue-depth` semantics). The `overload` block
@@ -375,18 +375,18 @@ struct TracingOverhead {
     on: Point,
 }
 
-/// One in-process dispatch measurement: full seven-layer stack, fused
-/// or dyn, at one burst size.
-struct DispatchPoint {
-    mode: &'static str,
-    burst: usize,
-    ops: u64,
-    elapsed: Duration,
+/// The stack-dispatch A/B: interleaved (fast path, layered) pairs of
+/// batch-1 throughput, ops/s.
+struct Dispatch {
+    pairs: Vec<(f64, f64)>,
 }
 
-impl DispatchPoint {
-    fn ops_per_sec(&self) -> f64 {
-        self.ops as f64 / self.elapsed.as_secs_f64().max(1e-9)
+impl Dispatch {
+    /// `f` over the pairs, sorted ascending.
+    fn sorted(&self, f: impl Fn(&(f64, f64)) -> f64) -> Vec<f64> {
+        let mut v: Vec<f64> = self.pairs.iter().map(f).collect();
+        v.sort_by(f64::total_cmp);
+        v
     }
 }
 
@@ -442,11 +442,12 @@ fn dispatch_command(rng: &mut XorShift64, ops: u64) -> Command {
     }
 }
 
-/// One closed in-process loop: drive bursts of `burst` commands
-/// through the chain until the window closes. Request construction
+/// One closed in-process loop: drive singletons through the full
+/// chain — `call_one` when `fast_path`, else the layered `call` —
+/// until the window closes, returning ops/s. Request construction
 /// (rng draws, key formatting) happens *outside* the timed segments —
 /// the point measures dispatch, not `format!`.
-fn run_dispatch_point(mode: &'static str, burst: usize, window: Duration) -> DispatchPoint {
+fn run_dispatch_point(fast_path: bool, window: Duration) -> f64 {
     let stack = dispatch_stack();
     let session = Session {
         client: "bench:dispatch".into(),
@@ -454,88 +455,51 @@ fn run_dispatch_point(mode: &'static str, burst: usize, window: Duration) -> Dis
     let store = MapStore {
         map: HashMap::new(),
     };
+    let mut chain = stack
+        .fused_service(&session, store)
+        .expect("every stack builds the typed chain");
     let mut rng = XorShift64::new(0xd15);
-    // Pre-built command pool, cycled; singleton rounds are timed in
-    // chunks of this size so clock reads stay off the per-op cost.
+    // Pre-built command pool, cycled; rounds are timed in chunks of
+    // this size so clock reads stay off the per-op cost.
     const POOL: usize = 1024;
     let pool: Vec<Command> = (0..POOL)
         .map(|i| dispatch_command(&mut rng, i as u64))
         .collect();
-    let mut next = 0usize;
-    let mut take = |n: usize| -> Vec<Request> {
-        (0..n)
-            .map(|_| {
-                let cmd = pool[next].clone();
-                next = (next + 1) % POOL;
-                Request::new(cmd)
-            })
-            .collect()
-    };
     let mut ops = 0u64;
     let mut timed = Duration::ZERO;
     let started = Instant::now();
-    match mode {
-        "fused" => {
-            let mut chain = stack
-                .fused_service(&session, store)
-                .expect("full stack fuses");
-            while started.elapsed() < window {
-                if burst == 1 {
-                    let reqs = take(POOL);
-                    ops += reqs.len() as u64;
-                    let t = Instant::now();
-                    for req in reqs {
-                        chain.call_one(req);
-                    }
-                    timed += t.elapsed();
-                } else {
-                    let reqs = take(burst);
-                    let t = Instant::now();
-                    ops += chain.call_batch(reqs).len() as u64;
-                    timed += t.elapsed();
-                }
+    while started.elapsed() < window {
+        let reqs: Vec<Request> = pool.iter().cloned().map(Request::new).collect();
+        ops += reqs.len() as u64;
+        let t = Instant::now();
+        for req in reqs {
+            if fast_path {
+                chain.call_one(req);
+            } else {
+                chain.call(req);
             }
         }
-        _ => {
-            let mut chain = stack.service(&session, Box::new(store));
-            while started.elapsed() < window {
-                if burst == 1 {
-                    let reqs = take(POOL);
-                    ops += reqs.len() as u64;
-                    let t = Instant::now();
-                    for req in reqs {
-                        chain.call(req);
-                    }
-                    timed += t.elapsed();
-                } else {
-                    let reqs = take(burst);
-                    let t = Instant::now();
-                    ops += chain.call_batch(reqs).len() as u64;
-                    timed += t.elapsed();
-                }
-            }
-        }
+        timed += t.elapsed();
     }
-    DispatchPoint {
-        mode,
-        burst,
-        ops,
-        elapsed: timed,
-    }
+    ops as f64 / timed.as_secs_f64().max(1e-9)
 }
 
-/// Best-of-`runs` per (mode, burst), same one-sided-noise argument as
-/// [`run_best`].
-fn run_dispatch_best(
-    runs: usize,
-    mode: &'static str,
-    burst: usize,
-    window: Duration,
-) -> DispatchPoint {
-    (0..runs)
-        .map(|_| run_dispatch_point(mode, burst, window))
-        .max_by(|a, b| a.ops_per_sec().total_cmp(&b.ops_per_sec()))
-        .expect("at least one run")
+/// `pairs` interleaved (fast path, layered) runs, alternating which
+/// arm goes first, so host drift hits both arms alike.
+fn run_dispatch(pairs: usize, window: Duration) -> Dispatch {
+    Dispatch {
+        pairs: (0..pairs)
+            .map(|i| {
+                if i % 2 == 0 {
+                    let fast = run_dispatch_point(true, window);
+                    (fast, run_dispatch_point(false, window))
+                } else {
+                    let layered = run_dispatch_point(false, window);
+                    (run_dispatch_point(true, window), layered)
+                }
+            })
+            .collect(),
+    }
 }
 
 /// The seeded apply stall every shard owner carries during the
@@ -646,7 +610,7 @@ fn write_json(
     conns: &[Point],
     obs: &ObservabilityOverhead,
     tracing: &TracingOverhead,
-    dispatch: &[DispatchPoint],
+    dispatch: &Dispatch,
     overload: &(OverloadPoint, OverloadPoint),
 ) -> String {
     let mut out = String::from("{\n  \"benchmark\": \"server_load\",\n  \"key_range\": 4096,\n");
@@ -718,40 +682,20 @@ fn write_json(
         tracing.on.ops_per_sec(),
         overhead_pct(&tracing.off, &tracing.on),
     );
-    // stack_dispatch: the fused (monomorphized) chain vs the boxed
-    // dyn onion, in-process over the full seven-layer stack. The
-    // headline is the batch-1 inline fast path (target ≥ 1.3× the
-    // boxed path); at burst 8/32 group-commit amortization dominates
-    // and the two modes converge.
-    out.push_str(",\n  \"stack_dispatch\": {\"depth\": 7, \"points\": [\n");
-    for (i, p) in dispatch.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"mode\": \"{}\", \"batch\": {}, \"ops\": {}, \"elapsed_ms\": {}, \"ops_per_sec\": {:.0}}}",
-            p.mode,
-            p.burst,
-            p.ops,
-            p.elapsed.as_millis(),
-            p.ops_per_sec(),
-        );
-        out.push_str(if i + 1 < dispatch.len() { ",\n" } else { "\n" });
-    }
-    let speedup = |burst: usize| -> f64 {
-        let of = |mode: &str| {
-            dispatch
-                .iter()
-                .find(|p| p.mode == mode && p.burst == burst)
-                .map(|p| p.ops_per_sec())
-                .unwrap_or(0.0)
-        };
-        of("fused") / of("dyn").max(1e-9)
-    };
+    // stack_dispatch: the full chain at batch 1, its inline call_one
+    // fast path vs its own layered call, in interleaved pairs. The
+    // headline is the median per-pair ratio (target ≥ 1.3×).
+    let median = |v: Vec<f64>| v[v.len() / 2];
+    let ratios = dispatch.sorted(|(fast, layered)| fast / layered.max(1e-9));
     let _ = write!(
         out,
-        "  ], \"fused_batch1_speedup_x\": {:.2}, \"fused_batch8_speedup_x\": {:.2}, \"fused_batch32_speedup_x\": {:.2}, \"target_x\": 1.3}}",
-        speedup(1),
-        speedup(8),
-        speedup(32),
+        ",\n  \"stack_dispatch\": {{\"depth\": 7, \"batch\": 1, \"pairs\": {}, \"call_one_ops_per_sec\": {:.0}, \"layered_ops_per_sec\": {:.0}, \"batch1_fast_path_speedup_x\": {:.2}, \"min_x\": {:.2}, \"max_x\": {:.2}, \"target_x\": 1.3}}",
+        dispatch.pairs.len(),
+        median(dispatch.sorted(|p| p.0)),
+        median(dispatch.sorted(|p| p.1)),
+        ratios[ratios.len() / 2],
+        ratios[0],
+        ratios[ratios.len() - 1],
     );
     if let [depth0, depth7] = overhead_pair {
         // middleware_overhead: the batched pipeline's throughput cost —
@@ -992,13 +936,8 @@ fn main() {
     row(&tracing.off, &mut table);
     row(&tracing.on, &mut table);
 
-    // 8. Stack dispatch: fused vs dyn, in-process, burst 1/8/32.
-    let mut dispatch_points = Vec::new();
-    for burst in [1usize, 8, 32] {
-        for mode in ["fused", "dyn"] {
-            dispatch_points.push(run_dispatch_best(3, mode, burst, env.duration));
-        }
-    }
+    // 8. Stack dispatch: call_one vs layered call, in-process, batch 1.
+    let dispatch = run_dispatch(5, env.duration);
 
     // 9. Overload: the shed A/B under a seeded per-apply stall.
     let overload = (
@@ -1041,12 +980,12 @@ fn main() {
         tracing.off.ops_per_sec() as u64,
         tracing.on.ops_per_sec() as u64
     );
-    for p in &dispatch_points {
+    for (fast, layered) in &dispatch.pairs {
         println!(
-            "stack dispatch {} batch {}: {} ops/s",
-            p.mode,
-            p.burst,
-            p.ops_per_sec() as u64
+            "stack dispatch batch 1: call_one {} ops/s, layered call {} ops/s ({:.2}x)",
+            *fast as u64,
+            *layered as u64,
+            fast / layered.max(1e-9)
         );
     }
     println!(
@@ -1065,7 +1004,7 @@ fn main() {
         &conn_points,
         &obs,
         &tracing,
-        &dispatch_points,
+        &dispatch,
         &overload,
     );
     std::fs::write("BENCH_server.json", &json).expect("write BENCH_server.json");

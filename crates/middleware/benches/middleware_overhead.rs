@@ -3,13 +3,11 @@
 //! * `layer_overhead` — each of the seven layers in isolation
 //!   (monomorphized over a no-op inner) against the bare inner, so a
 //!   layer's per-request cost is one subtraction away.
-//! * `stack_scaling` — the composed onion at increasing depth (the
-//!   boxed `dyn Service` path every partial stack takes), showing how
-//!   overhead accumulates per layer.
-//! * `stack_dispatch` — full-depth fused vs dyn: the monomorphized
-//!   chain's batch-1 `call_one` fast path against the boxed onion's
-//!   `call`, plus `call_batch` at 8 and 32 where group-commit
-//!   amortization dominates the dispatch mode.
+//! * `stack_scaling` — the typed chain's layered `call` at increasing
+//!   depth (off layers forward untouched), showing how overhead
+//!   accumulates per layer.
+//! * `stack_dispatch` — full depth, batch 1: the chain's inline
+//!   `call_one` fast path against its own layered `call`.
 //!
 //! Rate limits are tuned effectively off (huge burst) so the A/B
 //! compares dispatch cost, not token exhaustion; span sampling stays
@@ -70,92 +68,77 @@ fn layer_overhead(c: &mut Criterion) {
 
     group.bench_function("trace", |b| {
         let layer = TraceLayer::new(Arc::clone(&metrics), 1, config.trace.sample_every);
-        let mut svc = layer.wrap_typed(&session(), Nop);
+        let mut svc = layer.wrap(&session(), Nop);
         b.iter(|| svc.call(get_req()));
     });
     group.bench_function("breaker", |b| {
         // Disarmed, as in the default full stack: the cost measured is
         // the pass-through check every request pays.
         let layer = BreakerLayer::new(config.breaker.clone(), Arc::clone(&metrics));
-        let mut svc = layer.wrap_typed(&session(), Nop);
+        let mut svc = layer.wrap(&session(), Nop);
         b.iter(|| svc.call(get_req()));
     });
     group.bench_function("deadline", |b| {
         let layer = DeadlineLayer::new(config.deadline.clone(), Arc::clone(&metrics));
-        let mut svc = layer.wrap_typed(&session(), Nop);
+        let mut svc = layer.wrap(&session(), Nop);
         b.iter(|| svc.call(get_req()));
     });
     group.bench_function("auth", |b| {
         let layer = AuthLayer::new(&config.auth, Arc::clone(&metrics));
-        let mut svc = layer.wrap_typed(&session(), Nop);
+        let mut svc = layer.wrap(&session(), Nop);
         b.iter(|| svc.call(get_req()));
     });
     group.bench_function("rate_limit", |b| {
         let layer = RateLimitLayer::new(config.rate.clone(), Arc::clone(&metrics));
-        let mut svc = layer.wrap_typed(&session(), Nop);
+        let mut svc = layer.wrap(&session(), Nop);
         b.iter(|| svc.call(get_req()));
     });
     group.bench_function("shed", |b| {
         // Unarmed/unseated, as in the default full stack: a pure
         // pass-through — the per-request floor of the admission check.
         let layer = ShedLayer::new(config.shed.clone(), Arc::clone(&metrics));
-        let mut svc = layer.wrap_typed(&session(), Nop);
+        let mut svc = layer.wrap(&session(), Nop);
         b.iter(|| svc.call(get_req()));
     });
     group.bench_function("ttl", |b| {
         let layer = TtlLayer::new(Arc::clone(&metrics));
-        let mut svc = layer.wrap_typed(&session(), Nop);
+        let mut svc = layer.wrap(&session(), Nop);
         b.iter(|| svc.call(get_req()));
     });
     group.finish();
 }
 
-/// The boxed onion at increasing depth: overhead per added layer.
+fn chain(layers: &str) -> dego_middleware::FusedService<Nop> {
+    Stack::build(&bench_config(layers))
+        .fused_service(&session(), Nop)
+        .expect("every stack builds the typed chain")
+}
+
+/// The layered chain at increasing depth: overhead per added layer.
 fn stack_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("middleware_overhead/stack_scaling");
     group.measurement_time(Duration::from_secs(1));
     for (depth, layers) in [(1, "trace"), (3, "trace,deadline,auth"), (7, "full")] {
-        group.bench_function(BenchmarkId::new("dyn", depth), |b| {
-            let stack = Stack::build(&bench_config(layers));
-            let mut chain = stack.service(&session(), Box::new(Nop));
+        group.bench_function(BenchmarkId::new("layered", depth), |b| {
+            let mut chain = chain(layers);
             b.iter(|| chain.call(get_req()));
         });
     }
     group.finish();
 }
 
-/// Full-depth fused vs dyn, singleton and batched.
+/// Full depth at batch 1: the inline fast path vs the layered walk.
 fn stack_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("middleware_overhead/stack_dispatch");
     group.measurement_time(Duration::from_secs(1));
-
-    group.bench_function(BenchmarkId::new("fused", 1), |b| {
-        let stack = Stack::build(&bench_config("full"));
-        let mut chain = stack
-            .fused_service(&session(), Nop)
-            .expect("full stack fuses");
+    group.bench_function(BenchmarkId::new("call_one", 1), |b| {
+        let mut chain = chain("full");
         b.iter(|| chain.call_one(get_req()));
     });
-    group.bench_function(BenchmarkId::new("dyn", 1), |b| {
-        let stack = Stack::build(&bench_config("full"));
-        let mut chain = stack.service(&session(), Box::new(Nop));
+    group.bench_function(BenchmarkId::new("layered", 1), |b| {
+        let mut chain = chain("full");
         b.iter(|| chain.call(get_req()));
     });
-
-    for burst in [8usize, 32] {
-        group.bench_function(BenchmarkId::new("fused-batch", burst), |b| {
-            let stack = Stack::build(&bench_config("full"));
-            let mut chain = stack
-                .fused_service(&session(), Nop)
-                .expect("full stack fuses");
-            b.iter(|| chain.call_batch((0..burst).map(|_| get_req()).collect()));
-        });
-        group.bench_function(BenchmarkId::new("dyn-batch", burst), |b| {
-            let stack = Stack::build(&bench_config("full"));
-            let mut chain = stack.service(&session(), Box::new(Nop));
-            b.iter(|| chain.call_batch((0..burst).map(|_| get_req()).collect()));
-        });
-    }
     group.finish();
 }
 

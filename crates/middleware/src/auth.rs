@@ -13,7 +13,7 @@
 //! or better.
 
 use crate::metrics::PipelineMetrics;
-use crate::pipeline::{BoxService, Layer, LayerKind, Request, Response, Service, Session};
+use crate::pipeline::{LayerKind, Request, Response, Service, Session};
 use crate::protocol::{Command, CommandClass, Reply};
 use dego_core::rcu::{rcu_cell, RcuReader, RcuWriter};
 use dego_core::swmr_hash::{swmr_hash_map, SwmrHashReader, SwmrHashWriter};
@@ -143,10 +143,13 @@ impl AuthState {
     }
 }
 
-/// The auth [`Layer`].
+/// The auth layer: the shared token table and policy plus the
+/// per-session factory.
 pub struct AuthLayer {
-    state: Arc<AuthState>,
+    pub(crate) state: Arc<AuthState>,
     metrics: Arc<PipelineMetrics>,
+    /// Whether the stack runs this layer (off: a passthrough).
+    pub(crate) on: bool,
 }
 
 impl AuthLayer {
@@ -175,35 +178,19 @@ impl AuthLayer {
                 }),
             }),
             metrics,
+            on: true,
         }
     }
 
-    /// The shared state (for the stack's runtime admin API).
-    pub(crate) fn state(&self) -> Arc<AuthState> {
-        Arc::clone(&self.state)
-    }
-}
-
-impl AuthLayer {
-    /// Wrap a concrete inner service, preserving its type — the typed
-    /// combinator the fused stack composes with.
-    pub fn wrap_typed<S: Service>(&self, _session: &Session, inner: S) -> AuthService<S> {
+    /// Wrap `inner` in this layer's per-session service.
+    pub fn wrap<S: Service>(&self, _session: &Session, inner: S) -> AuthService<S> {
         AuthService {
             state: Arc::clone(&self.state),
             metrics: Arc::clone(&self.metrics),
             principal: None,
+            on: self.on,
             inner,
         }
-    }
-}
-
-impl Layer for AuthLayer {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Auth
-    }
-
-    fn wrap(&self, session: &Session, inner: BoxService) -> BoxService {
-        Box::new(self.wrap_typed(session, inner))
     }
 }
 
@@ -214,6 +201,7 @@ pub struct AuthService<S> {
     pub(crate) metrics: Arc<PipelineMetrics>,
     /// Session state: who this connection authenticated as.
     pub(crate) principal: Option<Principal>,
+    pub(crate) on: bool,
     pub(crate) inner: S,
 }
 
@@ -226,6 +214,9 @@ impl<S: Service> Service for AuthService<S> {
     /// containing `AUTH` changes the session's role mid-stream, so it
     /// falls back to the sequential path (logins are not hot).
     fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
+        if !self.on {
+            return self.inner.call_batch(reqs);
+        }
         if reqs.iter().any(|r| matches!(r.command, Command::Auth(_))) {
             return reqs.into_iter().map(|req| self.call(req)).collect();
         }
@@ -266,6 +257,9 @@ impl<S: Service> Service for AuthService<S> {
     }
 
     fn call(&mut self, req: Request) -> Response {
+        if !self.on {
+            return self.inner.call(req);
+        }
         let admission_t = crate::span::start();
         if let Command::Auth(token) = &req.command {
             let out = match self.state.tokens.get(token) {
@@ -346,7 +340,7 @@ mod tests {
     #[test]
     fn anon_readonly_rejects_writes_until_auth() {
         let (layer, metrics) = layer(Role::ReadOnly);
-        let mut svc = layer.wrap(&session(), Box::new(Ok200));
+        let mut svc = layer.wrap(&session(), Ok200);
         // Reads pass, writes are rejected with the structured tag.
         assert!(matches!(
             svc.call(Request::new(Command::Get("k".into()))).reply,
@@ -369,7 +363,7 @@ mod tests {
     #[test]
     fn bad_tokens_are_denied_and_do_not_upgrade() {
         let (layer, _) = layer(Role::ReadOnly);
-        let mut svc = layer.wrap(&session(), Box::new(Ok200));
+        let mut svc = layer.wrap(&session(), Ok200);
         assert!(matches!(
             svc.call(Request::new(Command::Auth("wrong".into()))).reply,
             Reply::Error(_)
@@ -380,7 +374,7 @@ mod tests {
     #[test]
     fn control_verbs_pass_even_for_role_none() {
         let (layer, _) = layer(Role::None);
-        let mut svc = layer.wrap(&session(), Box::new(Ok200));
+        let mut svc = layer.wrap(&session(), Ok200);
         assert!(matches!(
             svc.call(Request::new(Command::Ping)).reply,
             Reply::Status(_)
@@ -394,7 +388,7 @@ mod tests {
     #[test]
     fn batch_resolves_the_role_once_and_preserves_order() {
         let (layer, metrics) = layer(Role::ReadOnly);
-        let mut svc = layer.wrap(&session(), Box::new(Ok200));
+        let mut svc = layer.wrap(&session(), Ok200);
         let resps = svc.call_batch(vec![
             Request::new(Command::Get("a".into())),
             set(), // denied: readonly
@@ -415,7 +409,7 @@ mod tests {
     #[test]
     fn batch_with_auth_falls_back_to_sequential_login() {
         let (layer, metrics) = layer(Role::ReadOnly);
-        let mut svc = layer.wrap(&session(), Box::new(Ok200));
+        let mut svc = layer.wrap(&session(), Ok200);
         // The login in the middle must upgrade the commands after it —
         // exactly what the sequential path does.
         let resps = svc.call_batch(vec![
@@ -432,8 +426,8 @@ mod tests {
     #[test]
     fn rcu_policy_reload_is_seen_by_live_sessions() {
         let (layer, _) = layer(Role::ReadOnly);
-        let state = layer.state();
-        let mut svc = layer.wrap(&session(), Box::new(Ok200));
+        let state = Arc::clone(&layer.state);
+        let mut svc = layer.wrap(&session(), Ok200);
         assert!(matches!(svc.call(set()).reply, Reply::Error(_)));
         state.publish_anon_role(Role::ReadWrite);
         assert!(matches!(svc.call(set()).reply, Reply::Status(_)));
@@ -442,8 +436,8 @@ mod tests {
     #[test]
     fn runtime_token_insertion_takes_effect() {
         let (layer, _) = layer(Role::ReadOnly);
-        let state = layer.state();
-        let mut svc = layer.wrap(&session(), Box::new(Ok200));
+        let state = Arc::clone(&layer.state);
+        let mut svc = layer.wrap(&session(), Ok200);
         assert!(matches!(
             svc.call(Request::new(Command::Auth("newtok".into()))).reply,
             Reply::Error(_)

@@ -20,9 +20,7 @@
 //! passthrough until `--breaker-failures` arms it.
 
 use crate::metrics::PipelineMetrics;
-use crate::pipeline::{
-    partition_batch, BoxService, Layer, LayerKind, Request, Response, Service, Session,
-};
+use crate::pipeline::{partition_batch, LayerKind, Request, Response, Service, Session};
 use crate::protocol::{CommandClass, Reply};
 use crate::span;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -292,9 +290,12 @@ impl BreakerState {
     }
 }
 
-/// The circuit-breaker [`Layer`].
+/// The circuit-breaker layer: shared state plus the per-session
+/// factory.
 pub struct BreakerLayer {
     state: Arc<BreakerState>,
+    /// Whether the stack runs this layer (off: a passthrough).
+    pub(crate) on: bool,
 }
 
 impl BreakerLayer {
@@ -302,26 +303,17 @@ impl BreakerLayer {
     pub fn new(config: BreakerConfig, metrics: Arc<PipelineMetrics>) -> Self {
         BreakerLayer {
             state: Arc::new(BreakerState::new(config, metrics)),
+            on: true,
         }
     }
 
-    /// Wrap a concrete inner service, preserving its type — the typed
-    /// combinator the fused stack composes with.
-    pub fn wrap_typed<S: Service>(&self, _session: &Session, inner: S) -> BreakerService<S> {
+    /// Wrap `inner` in this layer's per-session service.
+    pub fn wrap<S: Service>(&self, _session: &Session, inner: S) -> BreakerService<S> {
         BreakerService {
             state: Arc::clone(&self.state),
+            on: self.on,
             inner,
         }
-    }
-}
-
-impl Layer for BreakerLayer {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Breaker
-    }
-
-    fn wrap(&self, session: &Session, inner: BoxService) -> BoxService {
-        Box::new(self.wrap_typed(session, inner))
     }
 }
 
@@ -331,11 +323,15 @@ impl Layer for BreakerLayer {
 /// connection.
 pub struct BreakerService<S> {
     pub(crate) state: Arc<BreakerState>,
+    pub(crate) on: bool,
     pub(crate) inner: S,
 }
 
 impl<S: Service> Service for BreakerService<S> {
     fn call(&mut self, req: Request) -> Response {
+        if !self.on {
+            return self.inner.call(req);
+        }
         let admission_t = span::start();
         let class = req.command.class();
         if let Some(rejection) = self.state.admit(class) {
@@ -358,6 +354,9 @@ impl<S: Service> Service for BreakerService<S> {
     /// and rate-limit layers take; ordering and reply bytes are
     /// unchanged.
     fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
+        if !self.on {
+            return self.inner.call_batch(reqs);
+        }
         let admission_t = span::start();
         if !self.state.enabled() {
             span::record(LayerKind::Breaker, admission_t);
@@ -550,7 +549,7 @@ mod tests {
         let session = Session {
             client: "t:1".into(),
         };
-        let mut svc = layer.wrap(&session, Box::new(Failing));
+        let mut svc = layer.wrap(&session, Failing);
         for _ in 0..2 {
             match svc
                 .call(Request::new(Command::Set("k".into(), "v".into())))

@@ -67,12 +67,6 @@ pub struct MiddlewareConfig {
     pub shed: ShedConfig,
     /// Span sampling and slowlog tuning.
     pub trace: TraceConfig,
-    /// Force the boxed `dyn Service` onion (`--dyn-stack`) even when
-    /// the configured layers match the canonical seven-layer order the
-    /// fused (monomorphized) chain covers. The escape hatch for
-    /// third-party layers and A/B-testing the dispatch planes; replies
-    /// and metrics are identical either way.
-    pub dyn_stack: bool,
 }
 
 impl MiddlewareConfig {

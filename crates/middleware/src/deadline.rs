@@ -8,7 +8,7 @@
 //! `Control` verbs are exempt.
 
 use crate::metrics::PipelineMetrics;
-use crate::pipeline::{BoxService, Layer, LayerKind, Request, Response, Service, Session};
+use crate::pipeline::{LayerKind, Request, Response, Service, Session};
 use crate::protocol::{CommandClass, Reply};
 use crate::span;
 use std::sync::Arc;
@@ -35,38 +35,32 @@ impl Default for DeadlineConfig {
     }
 }
 
-/// The deadline [`Layer`].
+/// The deadline layer: per-class budgets plus the per-session factory.
 pub struct DeadlineLayer {
     config: DeadlineConfig,
     metrics: Arc<PipelineMetrics>,
+    /// Whether the stack runs this layer (off: a passthrough).
+    pub(crate) on: bool,
 }
 
 impl DeadlineLayer {
     /// Build the layer.
     pub fn new(config: DeadlineConfig, metrics: Arc<PipelineMetrics>) -> Self {
-        DeadlineLayer { config, metrics }
+        DeadlineLayer {
+            config,
+            metrics,
+            on: true,
+        }
     }
-}
 
-impl DeadlineLayer {
-    /// Wrap a concrete inner service, preserving its type — the typed
-    /// combinator the fused stack composes with.
-    pub fn wrap_typed<S: Service>(&self, _session: &Session, inner: S) -> DeadlineService<S> {
+    /// Wrap `inner` in this layer's per-session service.
+    pub fn wrap<S: Service>(&self, _session: &Session, inner: S) -> DeadlineService<S> {
         DeadlineService {
             config: self.config.clone(),
             metrics: Arc::clone(&self.metrics),
+            on: self.on,
             inner,
         }
-    }
-}
-
-impl Layer for DeadlineLayer {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Deadline
-    }
-
-    fn wrap(&self, session: &Session, inner: BoxService) -> BoxService {
-        Box::new(self.wrap_typed(session, inner))
     }
 }
 
@@ -75,6 +69,7 @@ impl Layer for DeadlineLayer {
 pub struct DeadlineService<S> {
     pub(crate) config: DeadlineConfig,
     metrics: Arc<PipelineMetrics>,
+    pub(crate) on: bool,
     pub(crate) inner: S,
 }
 
@@ -100,6 +95,9 @@ impl<S: Service> Service for DeadlineService<S> {
     /// check fires in the same pathological stalls the per-request one
     /// would, and replies stay identical to sequential `call`s.
     fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
+        if !self.on {
+            return self.inner.call_batch(reqs);
+        }
         let admission_t = span::start();
         let mut budget_us = 0u64;
         let mut checked = 0u64;
@@ -140,6 +138,9 @@ impl<S: Service> Service for DeadlineService<S> {
     }
 
     fn call(&mut self, req: Request) -> Response {
+        if !self.on {
+            return self.inner.call(req);
+        }
         let admission_t = span::start();
         let budget_us = self.budget_us(&req);
         if budget_us == 0 {
@@ -183,13 +184,16 @@ mod tests {
         }
     }
 
-    fn wrap(config: DeadlineConfig, delay: Duration) -> (BoxService, Arc<PipelineMetrics>) {
+    fn wrap(
+        config: DeadlineConfig,
+        delay: Duration,
+    ) -> (DeadlineService<Slow>, Arc<PipelineMetrics>) {
         let metrics = Arc::new(PipelineMetrics::new());
         let layer = DeadlineLayer::new(config, Arc::clone(&metrics));
         let session = Session {
             client: "t:1".into(),
         };
-        (layer.wrap(&session, Box::new(Slow(delay))), metrics)
+        (layer.wrap(&session, Slow(delay)), metrics)
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! # dego-middleware — a composable request-interceptor pipeline
 //!
 //! The paper adjusts shared objects so a middleware's hot paths scale;
-//! this crate *is* the middleware: a tower-style [`Layer`]/[`Service`]
-//! onion over the wire protocol's [`protocol::Command`] /
+//! this crate *is* the middleware: a chain of layer [`Service`]s over
+//! the wire protocol's [`protocol::Command`] /
 //! [`protocol::Reply`], composed by a [`Stack`] in front of the
 //! `dego-server` storage plane. Every layer's shared state is built
 //! from the adjusted-object catalogue, so the pipeline itself is a
@@ -24,13 +24,13 @@
 //! client → trace → breaker → deadline → auth → rate-limit → shed → ttl → store
 //! ```
 //!
-//! Two dispatch planes build that chain: the full seven-layer stack
-//! monomorphizes into one concrete [`FusedService`] (direct calls
-//! between layers, plus an inline batch-1 fast path via
-//! [`fused::FusedService::call_one`]), while partial/custom stacks
-//! compose as a boxed `dyn Service` onion ([`Stack::service`]).
-//! Replies and metrics are byte-identical across both — the
-//! `fused_stack_matches_dyn_stack` proptest pins it.
+//! One dispatch plane builds that chain: every stack, partial or
+//! full, monomorphizes into one concrete [`FusedService`] (direct
+//! calls between layers) in which the layers the config leaves out
+//! forward untouched. With all seven on, singletons take an inline
+//! batch-1 fast path ([`fused::FusedService::call_one`]) whose replies
+//! and metrics are byte-identical to the layered `call` — the
+//! `call_one_matches_layered_call` proptest pins it.
 //!
 //! Rejections are structured (`-ERR RATELIMIT …`, `-ERR AUTH …`,
 //! `-ERR DEADLINE …`, `-ERR SHED …`, `-ERR BREAKER …`); see the
@@ -40,9 +40,7 @@
 //!
 //! ```
 //! use dego_middleware::protocol::{Command, Reply};
-//! use dego_middleware::{
-//!     BoxService, MiddlewareConfig, Request, Response, Service, Session, Stack,
-//! };
+//! use dego_middleware::{MiddlewareConfig, Request, Response, Service, Session, Stack};
 //!
 //! struct Echo;
 //! impl Service for Echo {
@@ -54,8 +52,10 @@
 //! let stack = Stack::build(&MiddlewareConfig::full());
 //! assert_eq!(stack.depth(), 7);
 //! let session = Session { client: "10.0.0.7:5501".into() };
-//! let mut chain: BoxService = stack.service(&session, Box::new(Echo));
-//! let resp = chain.call(Request::new(Command::Ping));
+//! let mut chain = stack
+//!     .fused_service(&session, Echo)
+//!     .expect("every stack builds the typed chain");
+//! let resp = chain.call_one(Request::new(Command::Ping));
 //! assert_eq!(resp.reply, Reply::Value("PING".into()));
 //! ```
 
@@ -87,9 +87,7 @@ pub use fused::FusedService;
 pub use metrics::{
     LatencyHistogram, PipelineMetrics, RelaxedCounter, StatLines, WindowedHistogram,
 };
-pub use pipeline::{
-    BoxService, Layer, LayerKind, Request, Response, Service, Session, Stack, LAYER_COUNT,
-};
+pub use pipeline::{LayerKind, Request, Response, Service, Session, Stack, LAYER_COUNT};
 pub use prom::PromText;
 pub use rate_limit::{RateLimitConfig, RateLimitLayer};
 pub use shed::{PressureProbe, ShardPressure, ShedConfig, ShedLayer};

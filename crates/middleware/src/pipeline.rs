@@ -1,13 +1,15 @@
-//! The interceptor pipeline: tower-style `Layer`/`Service` onion
-//! composition over protocol [`Request`]s and [`Response`]s.
+//! The interceptor pipeline: one typed chain of layer services over
+//! protocol [`Request`]s and [`Response`]s.
 //!
-//! A [`Service`] is one synchronous request handler; a [`Layer`] wraps
-//! a service in another service. A [`Stack`] owns the *shared* state of
-//! every configured layer (token buckets, ACL tables, histograms, TTL
-//! sidecar) and stamps out one per-connection service chain per
-//! session — per-session state (the authenticated principal, the
-//! session's token bucket) lives in the chain, shared state behind
-//! `Arc`s in the stack.
+//! A [`Service`] is one synchronous request handler; each layer's
+//! service wraps an inner one. A [`Stack`] owns the *shared* state of
+//! all seven layers (token buckets, ACL tables, histograms, TTL
+//! sidecar), records which of them are on, and stamps out one
+//! per-connection chain per session — per-session state (the
+//! authenticated principal, the session's token bucket) lives in the
+//! chain, shared state behind `Arc`s in the stack. An off layer stays
+//! in the chain's type but forwards every call to its inner service
+//! untouched.
 //!
 //! Layer order is canonical regardless of configuration order:
 //!
@@ -104,33 +106,13 @@ pub trait Service {
     }
 }
 
-/// A boxed service chain link. Chains are built and driven entirely on
-/// their connection's thread, so no `Send` bound is needed.
-pub type BoxService = Box<dyn Service>;
-
-/// Boxing preserves service-ness: a `Box<S>` (including the type-erased
-/// [`BoxService`]) delegates both entry points to its contents, so the
-/// generic layer services compose identically over concrete inners and
-/// over boxed ones. The explicit `call_batch` forwarding matters — the
-/// default would loop `call` and silently lose the inner service's
-/// batch amortization.
-impl<S: Service + ?Sized> Service for Box<S> {
-    fn call(&mut self, req: Request) -> Response {
-        (**self).call(req)
-    }
-
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        (**self).call_batch(reqs)
-    }
-}
-
 /// Drive a burst through `inner` with per-request admission control:
 /// requests `admit` rejects are answered in place, the rest travel
 /// downstream as **one** inner batch, and the replies are zipped back
 /// around the rejections in request order. The shared partial path of
 /// the auth and rate-limit layers' `call_batch` — one implementation
 /// of the ordering invariant instead of two drifting copies.
-pub(crate) fn partition_batch<S: Service + ?Sized>(
+pub(crate) fn partition_batch<S: Service>(
     inner: &mut S,
     reqs: Vec<Request>,
     mut admit: impl FnMut(&Request) -> Option<Response>,
@@ -169,16 +151,6 @@ pub struct Session {
     /// The client's identity: the peer `ip:port` (one bucket per
     /// connection), or any stable name an embedding chooses.
     pub client: String,
-}
-
-/// A middleware layer: shared state plus a factory wrapping an inner
-/// service in this layer's per-connection service.
-pub trait Layer: Send + Sync {
-    /// Which of the seven production layers this is.
-    fn kind(&self) -> LayerKind;
-
-    /// Wrap `inner` for one session.
-    fn wrap(&self, session: &Session, inner: BoxService) -> BoxService;
 }
 
 /// Number of production [`LayerKind`]s — the size of every
@@ -266,24 +238,21 @@ impl LayerKind {
 /// The configured pipeline: shared layer state + the per-connection
 /// chain factory.
 ///
-/// The seven production layers are held as **typed** fields (not a
-/// `Vec<Box<dyn Layer>>`), which is what lets [`Stack::fused_service`]
-/// stamp out the fully monomorphized chain — one concrete
-/// `Trace<Breaker<Deadline<Auth<RateLimit<Shed<Ttl<S>>>>>>>` type with
-/// zero virtual calls — while [`Stack::service`] keeps building the
-/// boxed `dyn` onion for partial/custom stacks and the `--dyn-stack`
-/// fallback.
+/// All seven production layers are built once, whatever the config,
+/// and each records whether it is on. [`Stack::fused_service`] stamps
+/// out the one concrete
+/// `Trace<Breaker<Deadline<Auth<RateLimit<Shed<Ttl<S>>>>>>>` chain —
+/// direct calls between layers, zero virtual calls — for every stack;
+/// off layers in it are passthroughs.
 pub struct Stack {
-    trace: Option<TraceLayer>,
-    breaker: Option<BreakerLayer>,
-    deadline: Option<DeadlineLayer>,
-    auth: Option<AuthLayer>,
-    rate: Option<RateLimitLayer>,
-    shed: Option<ShedLayer>,
-    ttl: Option<TtlLayer>,
+    trace: TraceLayer,
+    breaker: BreakerLayer,
+    deadline: DeadlineLayer,
+    auth: AuthLayer,
+    rate: RateLimitLayer,
+    shed: ShedLayer,
+    ttl: TtlLayer,
     metrics: Arc<PipelineMetrics>,
-    auth_state: Option<Arc<crate::auth::AuthState>>,
-    shed_state: Option<Arc<crate::shed::ShedState>>,
 }
 
 impl std::fmt::Debug for Stack {
@@ -302,93 +271,50 @@ impl Stack {
     /// irrelevant; duplicates collapse.
     pub fn build(config: &MiddlewareConfig) -> Arc<Stack> {
         let metrics = Arc::new(PipelineMetrics::with_trace(&config.trace));
-        let mut kinds = config.layers.clone();
-        kinds.sort();
-        kinds.dedup();
-        let depth = kinds.len();
+        let on = |kind: LayerKind| config.layers.contains(&kind);
+        let depth = LayerKind::ALL.iter().filter(|&&k| on(k)).count();
         let mut stack = Stack {
-            trace: None,
-            breaker: None,
-            deadline: None,
-            auth: None,
-            rate: None,
-            shed: None,
-            ttl: None,
-            metrics: Arc::clone(&metrics),
-            auth_state: None,
-            shed_state: None,
+            trace: TraceLayer::new(Arc::clone(&metrics), depth, config.trace.sample_every),
+            breaker: BreakerLayer::new(config.breaker.clone(), Arc::clone(&metrics)),
+            deadline: DeadlineLayer::new(config.deadline.clone(), Arc::clone(&metrics)),
+            auth: AuthLayer::new(&config.auth, Arc::clone(&metrics)),
+            rate: RateLimitLayer::new(config.rate.clone(), Arc::clone(&metrics)),
+            shed: ShedLayer::new(config.shed.clone(), Arc::clone(&metrics)),
+            ttl: TtlLayer::new(Arc::clone(&metrics)),
+            metrics,
         };
-        for kind in kinds {
-            match kind {
-                LayerKind::Trace => {
-                    stack.trace = Some(TraceLayer::new(
-                        Arc::clone(&metrics),
-                        depth,
-                        config.trace.sample_every,
-                    ))
-                }
-                LayerKind::Breaker => {
-                    stack.breaker = Some(BreakerLayer::new(
-                        config.breaker.clone(),
-                        Arc::clone(&metrics),
-                    ))
-                }
-                LayerKind::Deadline => {
-                    stack.deadline = Some(DeadlineLayer::new(
-                        config.deadline.clone(),
-                        Arc::clone(&metrics),
-                    ))
-                }
-                LayerKind::Auth => {
-                    let layer = AuthLayer::new(&config.auth, Arc::clone(&metrics));
-                    stack.auth_state = Some(layer.state());
-                    stack.auth = Some(layer);
-                }
-                LayerKind::RateLimit => {
-                    stack.rate = Some(RateLimitLayer::new(
-                        config.rate.clone(),
-                        Arc::clone(&metrics),
-                    ))
-                }
-                LayerKind::Shed => {
-                    let layer = ShedLayer::new(config.shed.clone(), Arc::clone(&metrics));
-                    stack.shed_state = Some(layer.state());
-                    stack.shed = Some(layer);
-                }
-                LayerKind::Ttl => stack.ttl = Some(TtlLayer::new(Arc::clone(&metrics))),
-            }
-        }
+        stack.trace.on = on(LayerKind::Trace);
+        stack.breaker.on = on(LayerKind::Breaker);
+        stack.deadline.on = on(LayerKind::Deadline);
+        stack.auth.on = on(LayerKind::Auth);
+        stack.rate.on = on(LayerKind::RateLimit);
+        stack.shed.on = on(LayerKind::Shed);
+        stack.ttl.on = on(LayerKind::Ttl);
         Arc::new(stack)
     }
 
-    /// The configured layers in canonical outer→inner order.
-    pub fn kinds(&self) -> Vec<LayerKind> {
-        let mut kinds = Vec::new();
-        if self.trace.is_some() {
-            kinds.push(LayerKind::Trace);
+    /// Whether `kind` is on in this stack.
+    fn is_on(&self, kind: LayerKind) -> bool {
+        match kind {
+            LayerKind::Trace => self.trace.on,
+            LayerKind::Breaker => self.breaker.on,
+            LayerKind::Deadline => self.deadline.on,
+            LayerKind::Auth => self.auth.on,
+            LayerKind::RateLimit => self.rate.on,
+            LayerKind::Shed => self.shed.on,
+            LayerKind::Ttl => self.ttl.on,
         }
-        if self.breaker.is_some() {
-            kinds.push(LayerKind::Breaker);
-        }
-        if self.deadline.is_some() {
-            kinds.push(LayerKind::Deadline);
-        }
-        if self.auth.is_some() {
-            kinds.push(LayerKind::Auth);
-        }
-        if self.rate.is_some() {
-            kinds.push(LayerKind::RateLimit);
-        }
-        if self.shed.is_some() {
-            kinds.push(LayerKind::Shed);
-        }
-        if self.ttl.is_some() {
-            kinds.push(LayerKind::Ttl);
-        }
-        kinds
     }
 
-    /// Number of configured layers.
+    /// The layers that are on, in canonical outer→inner order.
+    pub fn kinds(&self) -> Vec<LayerKind> {
+        LayerKind::ALL
+            .into_iter()
+            .filter(|&k| self.is_on(k))
+            .collect()
+    }
+
+    /// Number of layers that are on.
     pub fn depth(&self) -> usize {
         self.kinds().len()
     }
@@ -398,88 +324,25 @@ impl Stack {
         &self.metrics
     }
 
-    /// Build one session's service chain around `inner` (the store
-    /// executor), innermost layer first — the type-erased onion, one
-    /// `Box<dyn Service>` per layer. This is the `--dyn-stack` fallback
-    /// and the path for partial stacks and third-party [`Layer`]s.
-    pub fn service(&self, session: &Session, inner: BoxService) -> BoxService {
-        let mut chain = inner;
-        if let Some(layer) = &self.ttl {
-            chain = layer.wrap(session, chain);
-        }
-        if let Some(layer) = &self.shed {
-            chain = layer.wrap(session, chain);
-        }
-        if let Some(layer) = &self.rate {
-            chain = layer.wrap(session, chain);
-        }
-        if let Some(layer) = &self.auth {
-            chain = layer.wrap(session, chain);
-        }
-        if let Some(layer) = &self.deadline {
-            chain = layer.wrap(session, chain);
-        }
-        if let Some(layer) = &self.breaker {
-            chain = layer.wrap(session, chain);
-        }
-        if let Some(layer) = &self.trace {
-            chain = layer.wrap(session, chain);
-        }
-        chain
-    }
-
-    /// Whether this stack is the canonical full seven-layer pipeline,
-    /// i.e. whether [`Stack::fused_service`] can build the
-    /// monomorphized chain for it.
-    pub fn fusible(&self) -> bool {
-        self.trace.is_some()
-            && self.breaker.is_some()
-            && self.deadline.is_some()
-            && self.auth.is_some()
-            && self.rate.is_some()
-            && self.shed.is_some()
-            && self.ttl.is_some()
-    }
-
-    /// Build one session's **fused** chain around `inner`: the seven
-    /// canonical layers composed as a single concrete type, so every
-    /// inter-layer call is a direct (inlinable) call rather than a
-    /// vtable dispatch, and batch-1 traffic can take
-    /// [`crate::fused::FusedService::call_one`]. Returns `None` unless
-    /// the stack is [`Stack::fusible`] (all seven layers configured).
+    /// Build one session's chain around `inner`: the seven canonical
+    /// layers composed as a single concrete type, so every inter-layer
+    /// call is a direct (inlinable) call, and batch-1 traffic can take
+    /// [`crate::fused::FusedService::call_one`]. Off layers forward
+    /// untouched. Always returns `Some`: every stack, partial or full,
+    /// runs on this chain (the `Option` is kept for source
+    /// compatibility).
     pub fn fused_service<S: Service>(
         &self,
         session: &Session,
         inner: S,
     ) -> Option<crate::fused::FusedService<S>> {
-        match (
-            &self.trace,
-            &self.breaker,
-            &self.deadline,
-            &self.auth,
-            &self.rate,
-            &self.shed,
-            &self.ttl,
-        ) {
-            (
-                Some(trace),
-                Some(breaker),
-                Some(deadline),
-                Some(auth),
-                Some(rate),
-                Some(shed),
-                Some(ttl),
-            ) => {
-                let chain = ttl.wrap_typed(session, inner);
-                let chain = shed.wrap_typed(session, chain);
-                let chain = rate.wrap_typed(session, chain);
-                let chain = auth.wrap_typed(session, chain);
-                let chain = deadline.wrap_typed(session, chain);
-                let chain = breaker.wrap_typed(session, chain);
-                Some(trace.wrap_typed(session, chain))
-            }
-            _ => None,
-        }
+        let chain = self.ttl.wrap(session, inner);
+        let chain = self.shed.wrap(session, chain);
+        let chain = self.rate.wrap(session, chain);
+        let chain = self.auth.wrap(session, chain);
+        let chain = self.deadline.wrap(session, chain);
+        let chain = self.breaker.wrap(session, chain);
+        Some(self.trace.wrap(session, chain))
     }
 
     /// Seat the live shard-pressure probe the shed layer consults (the
@@ -487,40 +350,31 @@ impl Stack {
     /// embedding injects it here once the store is up). Returns `false`
     /// when the shed layer is not configured.
     pub fn shed_set_probe(&self, probe: Arc<dyn PressureProbe>) -> bool {
-        match &self.shed_state {
-            Some(shed) => {
-                shed.set_probe(probe);
-                true
-            }
-            None => false,
+        if self.shed.on {
+            self.shed.state.set_probe(probe);
         }
+        self.shed.on
     }
 
     /// Add (or replace) an auth token at runtime. Returns `false` when
     /// the auth layer is not configured.
     pub fn auth_set_token(&self, name: &str, token: &str, role: crate::auth::Role) -> bool {
-        match &self.auth_state {
-            Some(auth) => {
-                auth.set_token(name, token, role);
-                self.metrics.auth_reloads.increment();
-                true
-            }
-            None => false,
+        if self.auth.on {
+            self.auth.state.set_token(name, token, role);
+            self.metrics.auth_reloads.increment();
         }
+        self.auth.on
     }
 
     /// RCU-publish a new anonymous-session role (a policy reload: every
     /// connection observes it on its next request). Returns `false`
     /// when the auth layer is not configured.
     pub fn auth_set_anon_role(&self, role: crate::auth::Role) -> bool {
-        match &self.auth_state {
-            Some(auth) => {
-                auth.publish_anon_role(role);
-                self.metrics.auth_reloads.increment();
-                true
-            }
-            None => false,
+        if self.auth.on {
+            self.auth.state.publish_anon_role(role);
+            self.metrics.auth_reloads.increment();
         }
+        self.auth.on
     }
 }
 
@@ -541,11 +395,17 @@ mod tests {
         }
     }
 
+    fn chain(stack: &Stack) -> crate::fused::FusedService<Echo> {
+        stack
+            .fused_service(&session(), Echo)
+            .expect("every stack builds the typed chain")
+    }
+
     #[test]
     fn empty_stack_is_a_passthrough() {
         let stack = Stack::build(&MiddlewareConfig::none());
         assert_eq!(stack.depth(), 0);
-        let mut svc = stack.service(&session(), Box::new(Echo));
+        let mut svc = chain(&stack);
         let resp = svc.call(Request::new(Command::Ping));
         assert_eq!(resp.reply, Reply::Value("PING".into()));
         assert!(!resp.close);
@@ -556,17 +416,27 @@ mod tests {
         let stack = Stack::build(&MiddlewareConfig::full());
         assert_eq!(stack.depth(), 7);
         assert_eq!(stack.kinds(), LayerKind::ALL.to_vec());
-        assert!(stack.fusible());
     }
 
     #[test]
-    fn partial_stacks_are_not_fusible() {
+    fn partial_stacks_run_on_the_typed_chain() {
         let mut config = MiddlewareConfig::none();
-        assert!(!Stack::build(&config).fusible(), "empty stack");
-        config.layers = vec![LayerKind::Trace, LayerKind::Ttl];
+        config.layers = vec![LayerKind::Ttl, LayerKind::Trace];
         let stack = Stack::build(&config);
-        assert!(!stack.fusible());
-        assert!(stack.fused_service(&session(), Echo).is_none());
+        assert_eq!(stack.kinds(), vec![LayerKind::Trace, LayerKind::Ttl]);
+        let mut svc = chain(&stack);
+        // A partial stack skips the inline fast path: the on layers
+        // count the command, the off ones never see it.
+        let resp = svc.call_one(Request::new(Command::Get("k".into())));
+        assert_eq!(resp.reply, Reply::Value("GET".into()));
+        let m = stack.metrics();
+        assert_eq!(m.traced.sum(), 1);
+        assert_eq!(m.ttl_checked.sum(), 1);
+        assert_eq!(m.auth_admitted.sum(), 0);
+        assert_eq!(m.rate_admitted.sum(), 0);
+        assert_eq!(m.deadline_checked.sum(), 0);
+        // No bucket was taken for the off rate-limit layer.
+        assert_eq!(stack.rate.bucket_count(), 0);
     }
 
     #[test]
@@ -581,7 +451,7 @@ mod tests {
     fn default_call_batch_loops_over_call() {
         // A service that only implements `call` (a third-party layer)
         // still answers batches, one response per request, in order.
-        let mut svc: BoxService = Box::new(Echo);
+        let mut svc = Echo;
         let resps = svc.call_batch(vec![
             Request::new(Command::Ping),
             Request::new(Command::Get("k".into())),
@@ -610,10 +480,8 @@ mod tests {
             Command::Del("a".into()),
             Command::Timeline(7),
         ];
-        let seq_stack = Stack::build(&MiddlewareConfig::full());
-        let mut seq = seq_stack.service(&session(), Box::new(Echo));
-        let batch_stack = Stack::build(&MiddlewareConfig::full());
-        let mut batched = batch_stack.service(&session(), Box::new(Echo));
+        let mut seq = chain(&Stack::build(&MiddlewareConfig::full()));
+        let mut batched = chain(&Stack::build(&MiddlewareConfig::full()));
         let want: Vec<Reply> = burst
             .iter()
             .map(|c| seq.call(Request::new(c.clone())).reply)

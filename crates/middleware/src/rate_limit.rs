@@ -10,7 +10,7 @@
 //! Aggregate admission/rejection/refill counts are `LongAdder`s.
 
 use crate::metrics::PipelineMetrics;
-use crate::pipeline::{BoxService, Layer, LayerKind, Request, Response, Service, Session};
+use crate::pipeline::{LayerKind, Request, Response, Service, Session};
 use crate::protocol::Command;
 use dego_core::{SegmentationKind, SegmentedHashMap, SegmentedHashMapWriter};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -150,9 +150,12 @@ impl RateLimitState {
     }
 }
 
-/// The rate-limit [`Layer`].
+/// The rate-limit layer: the shared bucket map plus the per-session
+/// factory.
 pub struct RateLimitLayer {
     state: Arc<RateLimitState>,
+    /// Whether the stack runs this layer (off: a passthrough).
+    pub(crate) on: bool,
 }
 
 impl RateLimitLayer {
@@ -170,31 +173,25 @@ impl RateLimitLayer {
                 writer,
                 metrics,
             }),
+            on: true,
         }
     }
-}
 
-impl RateLimitLayer {
-    /// Wrap a concrete inner service, preserving its type — the typed
-    /// combinator the fused stack composes with.
-    pub fn wrap_typed<S: Service>(&self, session: &Session, inner: S) -> RateLimitService<S> {
-        let bucket = self.state.bucket_for(&session.client);
+    /// Wrap `inner` in this layer's per-session service. An off layer
+    /// takes no bucket from the shared map.
+    pub fn wrap<S: Service>(&self, session: &Session, inner: S) -> RateLimitService<S> {
         RateLimitService {
             state: Arc::clone(&self.state),
-            bucket,
+            bucket: self.on.then(|| self.state.bucket_for(&session.client)),
             client: session.client.clone(),
             inner,
         }
     }
-}
 
-impl Layer for RateLimitLayer {
-    fn kind(&self) -> LayerKind {
-        LayerKind::RateLimit
-    }
-
-    fn wrap(&self, session: &Session, inner: BoxService) -> BoxService {
-        Box::new(self.wrap_typed(session, inner))
+    /// How many client buckets the shared map holds.
+    #[cfg(test)]
+    pub(crate) fn bucket_count(&self) -> usize {
+        self.state.buckets.len()
     }
 }
 
@@ -202,7 +199,9 @@ impl Layer for RateLimitLayer {
 /// service it wraps.
 pub struct RateLimitService<S> {
     pub(crate) state: Arc<RateLimitState>,
-    pub(crate) bucket: Arc<Bucket>,
+    /// The session's token bucket; `None` exactly when the layer is
+    /// off, which makes the service a passthrough.
+    pub(crate) bucket: Option<Arc<Bucket>>,
     client: String,
     pub(crate) inner: S,
 }
@@ -217,11 +216,14 @@ impl<S> Drop for RateLimitService<S> {
     /// and the remove keeps a working bucket; the next session for
     /// that client simply starts a fresh one.)
     fn drop(&mut self) {
-        if Arc::strong_count(&self.bucket) > 2 {
+        let Some(bucket) = &self.bucket else {
+            return;
+        };
+        if Arc::strong_count(bucket) > 2 {
             return;
         }
         let mut writer = self.state.writer.lock().expect("rate-limit writer");
-        if Arc::strong_count(&self.bucket) == 2 {
+        if Arc::strong_count(bucket) == 2 {
             writer.remove(&self.client);
         }
     }
@@ -237,12 +239,15 @@ impl<S: Service> Service for RateLimitService<S> {
     /// order is preserved: admitted commands travel downstream as one
     /// inner batch and are zipped back around the rejections.
     fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
+        let Some(bucket) = &self.bucket else {
+            return self.inner.call_batch(reqs);
+        };
         let admission_t = crate::span::start();
         let chargeable = reqs
             .iter()
             .filter(|r| !matches!(r.command, Command::Quit | Command::Health | Command::Ready))
             .count() as u64;
-        let granted = self.state.admit_n(&self.bucket, chargeable);
+        let granted = self.state.admit_n(bucket, chargeable);
         crate::span::record(LayerKind::RateLimit, admission_t);
         // Fast path: the whole burst fit the bucket — no slot
         // bookkeeping.
@@ -270,6 +275,9 @@ impl<S: Service> Service for RateLimitService<S> {
     }
 
     fn call(&mut self, req: Request) -> Response {
+        let Some(bucket) = &self.bucket else {
+            return self.inner.call(req);
+        };
         // QUIT always goes through (a throttled client must still be
         // able to hang up cleanly), and so do the HEALTH/READY probes
         // (liveness must stay visible under throttling).
@@ -280,7 +288,7 @@ impl<S: Service> Service for RateLimitService<S> {
             return self.inner.call(req);
         }
         let admission_t = crate::span::start();
-        let admitted = self.state.admit(&self.bucket);
+        let admitted = self.state.admit(bucket);
         crate::span::record(LayerKind::RateLimit, admission_t);
         if admitted {
             self.inner.call(req)
@@ -328,7 +336,7 @@ mod tests {
     #[test]
     fn burst_admits_then_rejects_with_structured_error() {
         let (layer, metrics) = limited(3, 1); // 1 token/s: no refill mid-test
-        let mut svc = layer.wrap(&session("a"), Box::new(Ok200));
+        let mut svc = layer.wrap(&session("a"), Ok200);
         for _ in 0..3 {
             assert_eq!(
                 svc.call(Request::new(Command::Ping)).reply,
@@ -350,8 +358,8 @@ mod tests {
     #[test]
     fn buckets_are_per_client() {
         let (layer, _) = limited(2, 1);
-        let mut a = layer.wrap(&session("a"), Box::new(Ok200));
-        let mut b = layer.wrap(&session("b"), Box::new(Ok200));
+        let mut a = layer.wrap(&session("a"), Ok200);
+        let mut b = layer.wrap(&session("b"), Ok200);
         for _ in 0..2 {
             assert!(matches!(
                 a.call(Request::new(Command::Ping)).reply,
@@ -372,7 +380,7 @@ mod tests {
     #[test]
     fn quit_bypasses_an_exhausted_bucket() {
         let (layer, _) = limited(1, 1);
-        let mut svc = layer.wrap(&session("a"), Box::new(Ok200));
+        let mut svc = layer.wrap(&session("a"), Ok200);
         svc.call(Request::new(Command::Ping));
         assert!(matches!(
             svc.call(Request::new(Command::Quit)).reply,
@@ -383,7 +391,7 @@ mod tests {
     #[test]
     fn batch_takes_tokens_in_bulk_and_rejects_the_tail() {
         let (layer, metrics) = limited(3, 1); // no refill mid-test
-        let mut svc = layer.wrap(&session("a"), Box::new(Ok200));
+        let mut svc = layer.wrap(&session("a"), Ok200);
         let burst: Vec<Request> = (0..5)
             .map(|i| Request::new(Command::Get(format!("k{i}"))))
             .collect();
@@ -409,7 +417,7 @@ mod tests {
     #[test]
     fn batch_never_charges_quit() {
         let (layer, _) = limited(1, 1);
-        let mut svc = layer.wrap(&session("a"), Box::new(Ok200));
+        let mut svc = layer.wrap(&session("a"), Ok200);
         let resps = svc.call_batch(vec![
             Request::new(Command::Ping), // takes the only token
             Request::new(Command::Ping), // rejected
@@ -423,7 +431,7 @@ mod tests {
     #[test]
     fn tokens_refill_over_time() {
         let (layer, metrics) = limited(1, 1_000_000); // 1 token/µs
-        let mut svc = layer.wrap(&session("a"), Box::new(Ok200));
+        let mut svc = layer.wrap(&session("a"), Ok200);
         svc.call(Request::new(Command::Ping));
         std::thread::sleep(std::time::Duration::from_millis(5));
         assert!(matches!(
@@ -436,9 +444,9 @@ mod tests {
     #[test]
     fn buckets_are_reclaimed_when_the_last_session_ends() {
         let (layer, _) = limited(2, 1);
-        let a = layer.wrap(&session("a"), Box::new(Ok200));
-        let _b = layer.wrap(&session("b"), Box::new(Ok200));
-        let a2 = layer.wrap(&session("a"), Box::new(Ok200));
+        let a = layer.wrap(&session("a"), Ok200);
+        let _b = layer.wrap(&session("b"), Ok200);
+        let a2 = layer.wrap(&session("a"), Ok200);
         assert_eq!(layer.state.buckets.len(), 2);
         drop(a);
         assert_eq!(layer.state.buckets.len(), 2, "a still has a session");
@@ -449,8 +457,8 @@ mod tests {
     #[test]
     fn same_client_shares_one_bucket_across_connections() {
         let (layer, _) = limited(2, 1);
-        let mut c1 = layer.wrap(&session("shared"), Box::new(Ok200));
-        let mut c2 = layer.wrap(&session("shared"), Box::new(Ok200));
+        let mut c1 = layer.wrap(&session("shared"), Ok200);
+        let mut c2 = layer.wrap(&session("shared"), Ok200);
         assert!(matches!(
             c1.call(Request::new(Command::Ping)).reply,
             Reply::Status(_)

@@ -25,9 +25,7 @@
 //! [`Stack::shed_set_probe`]: crate::pipeline::Stack::shed_set_probe
 
 use crate::metrics::PipelineMetrics;
-use crate::pipeline::{
-    partition_batch, BoxService, Layer, LayerKind, Request, Response, Service, Session,
-};
+use crate::pipeline::{partition_batch, LayerKind, Request, Response, Service, Session};
 use crate::protocol::{Command, CommandClass};
 use crate::span;
 use std::collections::HashMap;
@@ -158,9 +156,12 @@ impl ShedState {
     }
 }
 
-/// The load-shedding [`Layer`].
+/// The load-shedding layer: thresholds and the seated probe plus the
+/// per-session factory.
 pub struct ShedLayer {
-    state: Arc<ShedState>,
+    pub(crate) state: Arc<ShedState>,
+    /// Whether the stack runs this layer (off: a passthrough).
+    pub(crate) on: bool,
 }
 
 impl ShedLayer {
@@ -168,31 +169,17 @@ impl ShedLayer {
     pub fn new(config: ShedConfig, metrics: Arc<PipelineMetrics>) -> Self {
         ShedLayer {
             state: Arc::new(ShedState::new(config, metrics)),
+            on: true,
         }
     }
 
-    /// The shared state, for post-build probe injection via the stack.
-    pub(crate) fn state(&self) -> Arc<ShedState> {
-        Arc::clone(&self.state)
-    }
-
-    /// Wrap a concrete inner service, preserving its type — the typed
-    /// combinator the fused stack composes with.
-    pub fn wrap_typed<S: Service>(&self, _session: &Session, inner: S) -> ShedService<S> {
+    /// Wrap `inner` in this layer's per-session service.
+    pub fn wrap<S: Service>(&self, _session: &Session, inner: S) -> ShedService<S> {
         ShedService {
             state: Arc::clone(&self.state),
+            on: self.on,
             inner,
         }
-    }
-}
-
-impl Layer for ShedLayer {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Shed
-    }
-
-    fn wrap(&self, session: &Session, inner: BoxService) -> BoxService {
-        Box::new(self.wrap_typed(session, inner))
     }
 }
 
@@ -200,11 +187,15 @@ impl Layer for ShedLayer {
 /// service it wraps.
 pub struct ShedService<S> {
     pub(crate) state: Arc<ShedState>,
+    pub(crate) on: bool,
     pub(crate) inner: S,
 }
 
 impl<S: Service> Service for ShedService<S> {
     fn call(&mut self, req: Request) -> Response {
+        if !self.on {
+            return self.inner.call(req);
+        }
         let admission_t = span::start();
         let verdict = self.state.admit(&req.command);
         span::record(LayerKind::Shed, admission_t);
@@ -220,6 +211,9 @@ impl<S: Service> Service for ShedService<S> {
     /// not state the burst itself mutates). Ordering and reply bytes
     /// are unchanged.
     fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
+        if !self.on {
+            return self.inner.call_batch(reqs);
+        }
         let admission_t = span::start();
         let state = &self.state;
         let Some(probe) = state.active() else {
@@ -295,12 +289,12 @@ mod tests {
         let layer = ShedLayer::new(config, Arc::clone(&metrics));
         let probe = FakeProbe::calm();
         layer
-            .state()
+            .state
             .set_probe(probe.clone() as Arc<dyn PressureProbe>);
         let session = Session {
             client: "t:1".into(),
         };
-        (layer.wrap_typed(&session, Always), probe, metrics)
+        (layer.wrap(&session, Always), probe, metrics)
     }
 
     fn set(key: &str) -> Request {
@@ -386,7 +380,7 @@ mod tests {
         let session = Session {
             client: "t:1".into(),
         };
-        let mut svc = layer.wrap_typed(&session, Always);
+        let mut svc = layer.wrap(&session, Always);
         assert!(matches!(svc.call(set("k")).reply, Reply::Status("OK")));
         assert_eq!(metrics.shed_checked.sum(), 0);
     }

@@ -8,9 +8,10 @@
 //! harvests the table into the shared per-layer histograms.
 //!
 //! Thread-locals are sound here by construction: a connection's service
-//! chain ([`crate::pipeline::BoxService`]) is built and driven entirely
-//! on that connection's thread (no `Send` bound), so an active span can
-//! never be observed from another chain.
+//! chain ([`crate::fused::FusedService`]) is driven entirely on one
+//! thread — a call runs start to finish on the thread that made it,
+//! and a span is entered and finished inside one call — so an active
+//! span can never be observed from another chain.
 //!
 //! The unsampled fast path is one thread-local boolean load per layer
 //! ([`start`] returns `None` and [`record`] is a no-op), which is what

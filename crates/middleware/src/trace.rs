@@ -31,9 +31,7 @@
 //!   `STATS` starts from a clean slate.
 
 use crate::metrics::{debug_assert_unique_stat_names, PipelineMetrics};
-use crate::pipeline::{
-    partition_batch, BoxService, Layer, LayerKind, Request, Response, Service, Session,
-};
+use crate::pipeline::{partition_batch, LayerKind, Request, Response, Service, Session};
 use crate::protocol::{Command, CommandClass, Reply};
 use crate::span;
 use std::sync::Arc;
@@ -81,11 +79,13 @@ fn observability_reply(metrics: &PipelineMetrics, cmd: &Command) -> Option<Reply
     }
 }
 
-/// The trace [`Layer`].
+/// The trace layer: shared metrics plus the per-session factory.
 pub struct TraceLayer {
     metrics: Arc<PipelineMetrics>,
     depth: usize,
     sample_every: u32,
+    /// Whether the stack runs this layer (off: a passthrough).
+    pub(crate) on: bool,
 }
 
 impl TraceLayer {
@@ -97,38 +97,26 @@ impl TraceLayer {
             metrics,
             depth,
             sample_every,
+            on: true,
         }
     }
-}
 
-impl TraceLayer {
-    /// Wrap a concrete inner service, preserving its type — the typed
-    /// combinator the fused stack composes with.
-    pub fn wrap_typed<S: Service>(&self, session: &Session, inner: S) -> TraceService<S> {
+    /// Wrap `inner` in this layer's per-session service.
+    pub fn wrap<S: Service>(&self, session: &Session, inner: S) -> TraceService<S> {
         TraceService {
             metrics: Arc::clone(&self.metrics),
             depth: self.depth,
             client: Arc::from(session.client.as_str()),
             sample_every: self.sample_every,
             tick: 0,
+            on: self.on,
             inner,
         }
     }
 }
 
-impl Layer for TraceLayer {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Trace
-    }
-
-    fn wrap(&self, session: &Session, inner: BoxService) -> BoxService {
-        Box::new(self.wrap_typed(session, inner))
-    }
-}
-
 /// The trace layer's per-session service, generic over the inner
-/// service it wraps (a concrete type in the fused stack, a
-/// [`BoxService`] in the dyn onion).
+/// service it wraps.
 pub struct TraceService<S> {
     pub(crate) metrics: Arc<PipelineMetrics>,
     depth: usize,
@@ -138,6 +126,7 @@ pub struct TraceService<S> {
     /// first command of every connection is always covered —
     /// contention-free and deterministic for tests.
     pub(crate) tick: u32,
+    pub(crate) on: bool,
     pub(crate) inner: S,
 }
 
@@ -198,6 +187,9 @@ impl<S: Service> Service for TraceService<S> {
     /// (covering the burst end to end, which no position inside it
     /// could observe anyway).
     fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
+        if !self.on {
+            return self.inner.call_batch(reqs);
+        }
         let n = reqs.len() as u64;
         let stats_at: Vec<bool> = reqs
             .iter()
@@ -251,6 +243,9 @@ impl<S: Service> Service for TraceService<S> {
     }
 
     fn call(&mut self, req: Request) -> Response {
+        if !self.on {
+            return self.inner.call(req);
+        }
         if let Some(reply) = observability_reply(&self.metrics, &req.command) {
             self.metrics.traced.increment();
             return Response::ok(reply);
@@ -304,17 +299,17 @@ mod tests {
         }
     }
 
-    fn traced_with(config: TraceConfig) -> (BoxService, Arc<PipelineMetrics>) {
+    fn traced_with(config: TraceConfig) -> (TraceService<Store>, Arc<PipelineMetrics>) {
         let sample_every = config.sample_every;
         let metrics = Arc::new(PipelineMetrics::with_trace(&config));
         let layer = TraceLayer::new(Arc::clone(&metrics), 5, sample_every);
         let session = Session {
             client: "t:1".into(),
         };
-        (layer.wrap(&session, Box::new(Store)), metrics)
+        (layer.wrap(&session, Store), metrics)
     }
 
-    fn traced() -> (BoxService, Arc<PipelineMetrics>) {
+    fn traced() -> (TraceService<Store>, Arc<PipelineMetrics>) {
         traced_with(TraceConfig::default())
     }
 

@@ -24,7 +24,7 @@
 //! pay it only on mutation or reap (live reads stay lock-free).
 
 use crate::metrics::PipelineMetrics;
-use crate::pipeline::{BoxService, Layer, LayerKind, Request, Response, Service, Session};
+use crate::pipeline::{LayerKind, Request, Response, Service, Session};
 use crate::protocol::{Command, Reply};
 use dego_core::{SegmentationKind, SegmentedHashMap, SegmentedHashMapWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,9 +58,11 @@ impl TtlState {
     }
 }
 
-/// The TTL [`Layer`].
+/// The TTL layer: the shared sidecar plus the per-session factory.
 pub struct TtlLayer {
     state: Arc<TtlState>,
+    /// Whether the stack runs this layer (off: a passthrough).
+    pub(crate) on: bool,
 }
 
 impl TtlLayer {
@@ -75,28 +77,17 @@ impl TtlLayer {
                 writer,
                 metrics,
             }),
+            on: true,
         }
     }
-}
 
-impl TtlLayer {
-    /// Wrap a concrete inner service, preserving its type — the typed
-    /// combinator the fused stack composes with.
-    pub fn wrap_typed<S: Service>(&self, _session: &Session, inner: S) -> TtlService<S> {
+    /// Wrap `inner` in this layer's per-session service.
+    pub fn wrap<S: Service>(&self, _session: &Session, inner: S) -> TtlService<S> {
         TtlService {
             state: Arc::clone(&self.state),
+            on: self.on,
             inner,
         }
-    }
-}
-
-impl Layer for TtlLayer {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Ttl
-    }
-
-    fn wrap(&self, session: &Session, inner: BoxService) -> BoxService {
-        Box::new(self.wrap_typed(session, inner))
     }
 }
 
@@ -104,6 +95,7 @@ impl Layer for TtlLayer {
 /// it wraps (the innermost layer: `S` is usually the store executor).
 pub struct TtlService<S> {
     pub(crate) state: Arc<TtlState>,
+    pub(crate) on: bool,
     pub(crate) inner: S,
 }
 
@@ -207,6 +199,9 @@ impl<S: Service> Service for TtlService<S> {
     /// `EXPIRE` arming one mid-burst) drops to the sequential path,
     /// whose reap locking is what makes expiry safe.
     fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
+        if !self.on {
+            return self.inner.call_batch(reqs);
+        }
         let admission_t = crate::span::start();
         let arming = reqs
             .iter()
@@ -230,6 +225,9 @@ impl<S: Service> Service for TtlService<S> {
     }
 
     fn call(&mut self, req: Request) -> Response {
+        if !self.on {
+            return self.inner.call(req);
+        }
         let admission_t = crate::span::start();
         // Decide on a borrowed view first so the fast paths forward
         // `req` without cloning its key.
@@ -316,7 +314,7 @@ mod tests {
         }
     }
 
-    fn ttl_over_store() -> (BoxService, Arc<PipelineMetrics>) {
+    fn ttl_over_store() -> (TtlService<MapStore>, Arc<PipelineMetrics>) {
         let metrics = Arc::new(PipelineMetrics::new());
         let layer = TtlLayer::new(Arc::clone(&metrics));
         let session = Session {
@@ -325,10 +323,10 @@ mod tests {
         let store = MapStore {
             map: HashMap::new(),
         };
-        (layer.wrap(&session, Box::new(store)), metrics)
+        (layer.wrap(&session, store), metrics)
     }
 
-    fn call(svc: &mut BoxService, cmd: Command) -> Reply {
+    fn call(svc: &mut TtlService<MapStore>, cmd: Command) -> Reply {
         svc.call(Request::new(cmd)).reply
     }
 

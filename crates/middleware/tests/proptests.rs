@@ -4,17 +4,16 @@
 //! rejected rather than misparsed — plus the batch-path law: a
 //! pipelined burst through `call_batch` answers byte-identically, in
 //! order, to the same commands sent through `call` one at a time —
-//! plus the dispatch-plane law: the fused (monomorphized) seven-layer
-//! chain and the boxed `dyn Service` onion produce byte-identical
-//! reply streams for any burst and tuning (the invariant behind
-//! `--dyn-stack` being a pure A/B switch) —
+//! plus the fast-path law: the typed chain's batch-1 `call_one`
+//! answers byte-identically to the layered `call` of an identically
+//! built chain for any burst, tuning and layer subset —
 //! plus Prometheus exposition invariants: metric names survive
 //! rendering and label values escape losslessly.
 
 use dego_middleware::protocol::{Command, CommandClass, Reply};
 use dego_middleware::{
-    AuthConfig, MiddlewareConfig, PromText, Request, Response, Role, Service, Session, Stack,
-    TokenSpec, WindowedHistogram,
+    AuthConfig, FusedService, LayerKind, MiddlewareConfig, PromText, Request, Response, Role,
+    Service, Session, Stack, TokenSpec, WindowedHistogram,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -132,12 +131,19 @@ fn stable_command() -> impl Strategy<Value = Command> {
     )
 }
 
-/// A full seven-layer stack over a fresh [`MapStore`], tuned so no
-/// timing-dependent layer can fire within the test (tiny refill, huge
-/// budgets) while every decision path (ACLs, bucket exhaustion,
+/// A stack running the layers picked by the bits of `mask` (bit `i` =
+/// `LayerKind::ALL[i]`; `0x7f` is the full seven-layer stack), tuned so
+/// no timing-dependent layer can fire within the test (tiny refill,
+/// huge budgets) while every decision path (ACLs, bucket exhaustion,
 /// armed timers) stays reachable.
-fn equivalence_config(burst: u64) -> MiddlewareConfig {
+fn equivalence_config(burst: u64, mask: u8) -> MiddlewareConfig {
     let mut config = MiddlewareConfig::full();
+    config.layers = LayerKind::ALL
+        .into_iter()
+        .enumerate()
+        .filter(|(i, _)| mask & (1 << i) != 0)
+        .map(|(_, kind)| kind)
+        .collect();
     config.auth = AuthConfig {
         tokens: vec![TokenSpec {
             name: "writer".into(),
@@ -153,17 +159,25 @@ fn equivalence_config(burst: u64) -> MiddlewareConfig {
     config
 }
 
-fn equivalence_chain(burst: u64) -> dego_middleware::BoxService {
-    let stack = Stack::build(&equivalence_config(burst));
+/// A fresh chain over a fresh [`MapStore`] and its own stack.
+fn equivalence_chain(config: &MiddlewareConfig) -> FusedService<MapStore> {
     let session = Session {
         client: "prop:1".into(),
     };
-    stack.service(
-        &session,
-        Box::new(MapStore {
-            map: HashMap::new(),
-        }),
-    )
+    Stack::build(config)
+        .fused_service(
+            &session,
+            MapStore {
+                map: HashMap::new(),
+            },
+        )
+        .expect("every stack builds the typed chain")
+}
+
+/// Layer subsets: any of the 128, with the full stack (the only one
+/// the inline fast path serves) drawn as often as all others together.
+fn layer_mask() -> impl Strategy<Value = u8> {
+    prop_oneof!(Just(0x7fu8), 0u8..0x80)
 }
 
 /// Metric family names as the exposition format allows them.
@@ -299,18 +313,20 @@ proptest! {
         prop_assert!(Command::parse(&format!("AUTH {junk}")).is_ok(), "token is a string position");
     }
 
-    /// The batch law: for any burst, `call_batch` through the full
-    /// seven-layer stack produces byte-identical replies, in order, to
+    /// The batch law: for any burst and any layer subset, `call_batch`
+    /// through the chain produces byte-identical replies, in order, to
     /// the same commands driven through `call` one at a time — across
     /// every decision the layers can take (ACL denials, bucket
     /// exhaustion, armed TTL timers, mid-burst logins).
     #[test]
     fn call_batch_matches_sequential_call(
         burst in 4u64..200,
+        mask in layer_mask(),
         cmds in proptest::collection::vec(stable_command(), 1..40),
     ) {
-        let mut sequential = equivalence_chain(burst);
-        let mut batched = equivalence_chain(burst);
+        let config = equivalence_config(burst, mask);
+        let mut sequential = equivalence_chain(&config);
+        let mut batched = equivalence_chain(&config);
         let want: Vec<(Reply, bool)> = cmds
             .iter()
             .map(|c| {
@@ -326,43 +342,34 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// The dispatch-plane law: for any burst and tuning (including
-    /// every span-sampling phase, which toggles the fused batch-1
-    /// fast path on and off mid-stream), the fused (monomorphized)
-    /// chain answers byte-identically to the boxed `dyn Service`
-    /// onion — singletons through `call_one` vs `call`, then the same
-    /// commands again as one `call_batch` burst through each.
+    /// The fast-path law: for any burst, tuning and layer subset
+    /// (including every span-sampling phase, which toggles the batch-1
+    /// fast path on and off mid-stream), `call_one` answers
+    /// byte-identically to the layered `call` of an identically built
+    /// chain — singletons through each, then the same commands again
+    /// as one `call_batch` burst through both.
     #[test]
-    fn fused_stack_matches_dyn_stack(
+    fn call_one_matches_layered_call(
         burst in 4u64..200,
         sample_every in 0u32..5,
+        mask in layer_mask(),
         cmds in proptest::collection::vec(stable_command(), 1..40),
     ) {
-        let mut config = equivalence_config(burst);
+        let mut config = equivalence_config(burst, mask);
         config.trace.sample_every = sample_every;
-        let session = Session {
-            client: "prop:1".into(),
-        };
-        let fused_stack = Stack::build(&config);
-        let mut fused = fused_stack
-            .fused_service(&session, MapStore { map: HashMap::new() })
-            .expect("full stack fuses");
-        let dyn_stack = Stack::build(&config);
-        let mut onion = dyn_stack.service(
-            &session,
-            Box::new(MapStore { map: HashMap::new() }),
-        );
+        let mut fast = equivalence_chain(&config);
+        let mut layered = equivalence_chain(&config);
         let want: Vec<(Reply, bool)> = cmds
             .iter()
             .map(|c| {
-                let resp = onion.call(Request::new(c.clone()));
+                let resp = layered.call(Request::new(c.clone()));
                 (resp.reply, resp.close)
             })
             .collect();
         let got: Vec<(Reply, bool)> = cmds
             .iter()
             .map(|c| {
-                let resp = fused.call_one(Request::new(c.clone()));
+                let resp = fast.call_one(Request::new(c.clone()));
                 (resp.reply, resp.close)
             })
             .collect();
@@ -370,12 +377,12 @@ proptest! {
 
         // Both chains advanced through identical state; the same burst
         // again through each batch path must agree too.
-        let want: Vec<(Reply, bool)> = onion
+        let want: Vec<(Reply, bool)> = layered
             .call_batch(cmds.iter().cloned().map(Request::new).collect())
             .into_iter()
             .map(|resp| (resp.reply, resp.close))
             .collect();
-        let got: Vec<(Reply, bool)> = fused
+        let got: Vec<(Reply, bool)> = fast
             .call_batch(cmds.into_iter().map(Request::new).collect())
             .into_iter()
             .map(|resp| (resp.reply, resp.close))

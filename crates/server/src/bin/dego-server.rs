@@ -40,9 +40,6 @@
 //!   `http://ADDR/trace` (off by default)
 //! * `--no-batch` — disable the batched pipeline path (A/B runs; the
 //!   group-commit batching is on by default)
-//! * `--dyn-stack` — force the boxed `dyn Service` onion instead of
-//!   the fused (monomorphized) seven-layer chain (A/B runs and custom
-//!   stacks; replies are identical either way)
 //! * `--thread-per-conn` — serve each connection on a dedicated thread
 //!   instead of the default epoll event-loop plane (A/B runs; replies
 //!   are byte-identical either way)
@@ -65,7 +62,7 @@ fn usage_exit(err: &str) -> ! {
          [--shed-queue-depth N] [--shed-ack-p99-us N] [--shard-delay-ms N] \
          [--trace-sample N] [--slowlog-threshold-us N] [--slowlog-capacity N] \
          [--trace-capacity N] [--trace-threshold-us N] [--stats-window-secs N] \
-         [--metrics-addr ADDR] [--no-batch] [--dyn-stack] [--thread-per-conn] \
+         [--metrics-addr ADDR] [--no-batch] [--thread-per-conn] \
          [--event-loops N] [--idle-timeout-ms N] [--ack-timeout-ms N]"
     );
     std::process::exit(2);
@@ -106,10 +103,6 @@ fn main() {
             let flag = arg.as_str();
             if flag == "--no-batch" {
                 config.batch = false;
-                continue;
-            }
-            if flag == "--dyn-stack" {
-                config.middleware.dyn_stack = true;
                 continue;
             }
             if flag == "--thread-per-conn" {

@@ -36,10 +36,11 @@
 use crate::protocol::{Command, Reply};
 use crate::server::{
     build_chain, Chain, ConnTuning, DeferCell, ExecService, PendingSlot, ACK_TIMEOUT_MSG,
+    LINE_TOO_LONG_MSG, MAX_LINE_BYTES,
 };
 use crate::stats::ServerStats;
 use crate::store::{ShardAck, Store};
-use dego_middleware::{Request, Session, Stack};
+use dego_middleware::{Request, Service, Session, Stack};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::TcpStream;
@@ -268,6 +269,10 @@ struct Conn {
     /// Bytes read but not yet parsed (at most one partial line after
     /// a drive pass, unless a burst is in flight).
     rbuf: Vec<u8>,
+    /// A line longer than [`MAX_LINE_BYTES`] arrived: reading stopped,
+    /// `rbuf` holds only the lines before it, and once those are
+    /// answered the connection gets `-ERR line too long` and closes.
+    overlong: bool,
     /// Rendered replies waiting to flush, one chunk per reply —
     /// `write_vectored` sends them without concatenating.
     out: VecDeque<Vec<u8>>,
@@ -426,7 +431,7 @@ impl EventLoop {
             Some(Rc::clone(&defer)),
             Some(Arc::clone(&self.waker)),
         );
-        let chain = build_chain(&self.stack, &session, exec, self.tuning.dyn_stack);
+        let chain = build_chain(&self.stack, &session, exec);
         let fd = socket.as_raw_fd();
         if self.epoll.add(fd, token, EPOLLIN | EPOLLRDHUP).is_err() {
             return;
@@ -439,6 +444,7 @@ impl EventLoop {
                 defer,
                 ack_rx,
                 rbuf: Vec::new(),
+                overlong: false,
                 out: VecDeque::new(),
                 out_off: 0,
                 awaiting: None,
@@ -518,7 +524,7 @@ impl EventLoop {
     /// queues before any of them waits for an ack.
     fn read_socket(&mut self, conn: &mut Conn) {
         let mut buf = [0u8; READ_CHUNK];
-        loop {
+        while !conn.overlong {
             match conn.socket.read(&mut buf) {
                 Ok(0) => {
                     conn.eof = true;
@@ -527,6 +533,10 @@ impl EventLoop {
                 Ok(n) => {
                     conn.rbuf.extend_from_slice(&buf[..n]);
                     conn.last_read = Instant::now();
+                    if let Some(at) = overlong_line_at(&conn.rbuf, n) {
+                        conn.rbuf.truncate(at);
+                        conn.overlong = true;
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -548,7 +558,15 @@ impl EventLoop {
             }
             let (lines, bad_utf8) = split_burst(&mut conn.rbuf, conn.eof);
             if lines.is_empty() && !bad_utf8 {
-                if conn.eof {
+                if conn.overlong {
+                    // Every line before the long one is answered.
+                    self.stats.note_error();
+                    self.stats.note_line_too_long();
+                    let mut rendered = String::new();
+                    Reply::Error(LINE_TOO_LONG_MSG.into()).render(&mut rendered);
+                    push_out(conn, rendered);
+                    conn.closing = true;
+                } else if conn.eof {
                     conn.closing = true;
                 }
                 break;
@@ -848,6 +866,7 @@ impl EventLoop {
         if conn.awaiting.is_none()
             && conn.out.is_empty()
             && !conn.eof
+            && !conn.overlong
             && !conn.closing
             && !self.draining
         {
@@ -882,6 +901,26 @@ fn push_out(conn: &mut Conn, rendered: String) {
     if !rendered.is_empty() {
         conn.out.push_back(rendered.into_bytes());
     }
+}
+
+/// Where the first line longer than [`MAX_LINE_BYTES`] starts, among
+/// the lines the last `fresh` bytes of `rbuf` end or extend (a
+/// partial last line counts with the bytes it has so far).
+fn overlong_line_at(rbuf: &[u8], fresh: usize) -> Option<usize> {
+    if rbuf.len() <= MAX_LINE_BYTES {
+        return None; // no line can be longer than the whole buffer
+    }
+    let mut start = rbuf[..rbuf.len() - fresh]
+        .iter()
+        .rposition(|b| *b == b'\n')
+        .map_or(0, |nl| nl + 1);
+    for line in rbuf[start..].split(|b| *b == b'\n') {
+        if line.len() > MAX_LINE_BYTES {
+            return Some(start);
+        }
+        start += line.len() + 1;
+    }
+    None
 }
 
 /// Extract the next burst from `rbuf`: up to [`MAX_BURST_LINES`]
@@ -969,6 +1008,25 @@ mod tests {
         // The poisoned line is consumed; the tail stays (discarded by
         // the caller when it hangs up).
         assert_eq!(buf, b"PING\n");
+    }
+
+    #[test]
+    fn overlong_lines_are_found_where_they_start() {
+        let mut buf = b"PING\n".to_vec();
+        buf.extend(std::iter::repeat_n(b'x', MAX_LINE_BYTES));
+        // At the limit: not yet too long, newline or not.
+        assert_eq!(overlong_line_at(&buf, buf.len()), None);
+        buf.push(b'\n');
+        assert_eq!(overlong_line_at(&buf, 1), None);
+        buf.pop();
+        // One byte past it, partial: too long, starting after PING.
+        buf.push(b'x');
+        assert_eq!(overlong_line_at(&buf, 1), Some(5));
+        // A completed long line counts too, in any later chunk.
+        buf.extend_from_slice(b"\nPING\n");
+        assert_eq!(overlong_line_at(&buf, 7), Some(5));
+        // Fresh bytes that only start new short lines are fine.
+        assert_eq!(overlong_line_at(b"PING\nPI", 2), None);
     }
 
     #[test]

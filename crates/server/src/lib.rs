@@ -58,7 +58,7 @@ pub use dego_middleware::protocol;
 
 pub use client::{Client, ClientReply};
 pub use dego_middleware::{MiddlewareConfig, Role, Stack, TokenSpec};
-pub use server::{spawn, AcceptHook, ServerConfig, ServerHandle, TIMELINE_LIMIT};
+pub use server::{spawn, AcceptHook, ServerConfig, ServerHandle, MAX_LINE_BYTES, TIMELINE_LIMIT};
 pub use stats::{ServerStats, StatsSnapshot};
 pub use store::{FANOUT_LIMIT, TIMELINE_KEEP};
 

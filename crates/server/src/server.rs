@@ -43,12 +43,12 @@ use crate::protocol::{Command, Reply};
 use crate::stats::{ServerStats, StatsSnapshot};
 use crate::store::{self, AckItem, Mutation, MutationMsg, ShardAck, Store, FANOUT_LIMIT};
 use dego_middleware::{
-    BoxService, FusedService, MiddlewareConfig, PressureProbe, Request, Response, Service, Session,
+    FusedService, MiddlewareConfig, PressureProbe, Request, Response, Service, Session,
     ShardPressure, Stack,
 };
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -65,6 +65,14 @@ pub const TIMELINE_LIMIT: usize = 50;
 pub(crate) const ACK_TIMEOUT_MSG: &str = "shard ack timeout; closing connection";
 /// The reply when the shard plane is gone (shutdown mid-request).
 const ACK_GONE_MSG: &str = "shard gone; closing connection";
+
+/// The longest request line either connection plane buffers, in bytes
+/// before its newline. A longer line is answered `-ERR line too long`
+/// and its connection closed, so one client's unterminated stream
+/// cannot grow the server's memory without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+/// The reply to a line longer than [`MAX_LINE_BYTES`].
+pub(crate) const LINE_TOO_LONG_MSG: &str = "line too long";
 
 /// The placeholder status a deferred slot answers with inside
 /// `call_batch` — patched by the event loop once the acks arrive. The
@@ -322,11 +330,6 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let tuning = ConnTuning {
         batch: config.batch,
         ack_timeout: config.ack_timeout,
-        // DEGO_TEST_DYN_STACK=1 forces the boxed onion without
-        // touching the config — the CI matrix leg that runs the
-        // whole tier-1 suite against the fallback dispatch plane.
-        dyn_stack: config.middleware.dyn_stack
-            || std::env::var("DEGO_TEST_DYN_STACK").is_ok_and(|v| v == "1"),
     };
     // DEGO_TEST_THREAD_PER_CONN=1 forces the threaded plane without
     // touching the config — the CI matrix leg that runs the whole
@@ -475,7 +478,6 @@ type LoopSink = (Sender<(TcpStream, u64)>, Arc<LoopWaker>);
 pub(crate) struct ConnTuning {
     pub(crate) batch: bool,
     pub(crate) ack_timeout: Duration,
-    pub(crate) dyn_stack: bool,
 }
 
 /// The shed layer's window onto live shard pressure: routes a write
@@ -518,54 +520,19 @@ impl PressureProbe for StorePressure {
     }
 }
 
-/// The per-connection dispatch chain. With the canonical seven-layer
-/// stack (and no `--dyn-stack` override) the onion monomorphizes into
-/// one concrete [`FusedService`] — direct calls between layers, plus
-/// the batch-1 inline fast path — while partial/reordered stacks and
-/// the explicit fallback keep the boxed `dyn Service` onion. Replies
-/// and metrics are identical either way (the middleware proptests pin
-/// this).
-pub(crate) enum Chain {
-    Fused(Box<FusedService<ExecService>>),
-    Dyn(BoxService),
-}
-
-impl Chain {
-    /// Dispatch a singleton: the fused chain takes its inline batch-1
-    /// fast path; the dyn onion pays the per-layer virtual calls.
-    pub(crate) fn call_one(&mut self, req: Request) -> Response {
-        match self {
-            Chain::Fused(chain) => chain.call_one(req),
-            Chain::Dyn(chain) => chain.call(req),
-        }
-    }
-
-    /// Dispatch a pipelined burst through the group-commit batch path.
-    pub(crate) fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        match self {
-            Chain::Fused(chain) => chain.call_batch(reqs),
-            Chain::Dyn(chain) => chain.call_batch(reqs),
-        }
-    }
-}
+/// The per-connection dispatch chain: the typed seven-layer chain
+/// (off layers forward untouched), boxed so connection state stays
+/// cheap to move.
+pub(crate) type Chain = Box<FusedService<ExecService>>;
 
 /// Build one connection's dispatch chain around its innermost service
-/// (shared by both connection planes — the fusibility rules must not
-/// drift between them).
-pub(crate) fn build_chain(
-    stack: &Arc<Stack>,
-    session: &Session,
-    exec: ExecService,
-    dyn_stack: bool,
-) -> Chain {
-    if !dyn_stack && stack.fusible() {
-        let fused = stack
+/// (shared by both connection planes).
+pub(crate) fn build_chain(stack: &Stack, session: &Session, exec: ExecService) -> Chain {
+    Box::new(
+        stack
             .fused_service(session, exec)
-            .expect("fusible stack fuses");
-        Chain::Fused(Box::new(fused))
-    } else {
-        Chain::Dyn(stack.service(session, Box::new(exec)))
-    }
+            .expect("every stack builds the typed chain"),
+    )
 }
 
 /// The backoff slept after the `n`-th consecutive `accept()` failure:
@@ -1334,13 +1301,22 @@ fn serve_connection(
         None,
         None,
     );
-    let mut chain = build_chain(&stack, &session, exec, tuning.dyn_stack);
+    let mut chain = build_chain(&stack, &session, exec);
     let mut line = String::new();
     let mut out = String::new();
 
     loop {
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the line limit, so an
+        // unterminated stream stops growing `line` there.
+        let budget = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
+        match reader.by_ref().take(budget).read_line(&mut line) {
             Ok(0) => break,
+            Ok(_) if line.len() > MAX_LINE_BYTES && !line.ends_with('\n') => {
+                stats.note_error();
+                stats.note_line_too_long();
+                Reply::Error(LINE_TOO_LONG_MSG.into()).render(&mut out);
+                break;
+            }
             Ok(_) => {
                 // Drain the whole buffered burst: every complete line
                 // already in the buffer parses into the same batch
