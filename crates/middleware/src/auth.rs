@@ -11,9 +11,14 @@
 //! ACL model: `Control` verbs are always allowed, `Read` verbs need
 //! [`Role::ReadOnly`] or better, `Write` verbs need [`Role::ReadWrite`]
 //! or better.
+//!
+//! A burst resolves the session's role **once** and checks every
+//! command against it. A burst containing `AUTH` changes the role
+//! mid-stream, so the admission driver runs it one request at a time
+//! (logins are not hot).
 
 use crate::metrics::PipelineMetrics;
-use crate::pipeline::{LayerKind, Request, Response, Service, Session};
+use crate::pipeline::Response;
 use crate::protocol::{Command, CommandClass, Reply};
 use dego_core::rcu::{rcu_cell, RcuReader, RcuWriter};
 use dego_core::swmr_hash::{swmr_hash_map, SwmrHashReader, SwmrHashWriter};
@@ -108,10 +113,11 @@ struct AclPolicy {
 
 /// Shared auth state: lock-free readers + mutex-serialized admin
 /// writers.
-pub struct AuthState {
+pub(crate) struct AuthState {
     tokens: SwmrHashReader<String, Principal>,
     policy: RcuReader<AclPolicy>,
     admin: Mutex<AuthAdmin>,
+    metrics: Arc<PipelineMetrics>,
 }
 
 struct AuthAdmin {
@@ -120,6 +126,32 @@ struct AuthAdmin {
 }
 
 impl AuthState {
+    /// Build the state, loading `config.tokens` into the table.
+    pub(crate) fn new(config: &AuthConfig, metrics: Arc<PipelineMetrics>) -> Self {
+        let (mut writer, reader) = swmr_hash_map(64);
+        for spec in &config.tokens {
+            writer.insert(
+                spec.token.clone(),
+                Principal {
+                    name: Arc::from(spec.name.as_str()),
+                    role: spec.role,
+                },
+            );
+        }
+        let (policy_writer, policy_reader) = rcu_cell(AclPolicy {
+            anon_role: config.anon_role,
+        });
+        AuthState {
+            tokens: reader,
+            policy: policy_reader,
+            admin: Mutex::new(AuthAdmin {
+                tokens: writer,
+                policy: policy_writer,
+            }),
+            metrics,
+        }
+    }
+
     /// Add or replace a token at runtime.
     pub(crate) fn set_token(&self, name: &str, token: &str, role: Role) {
         let mut admin = self.admin.lock().expect("auth admin");
@@ -138,199 +170,85 @@ impl AuthState {
         admin.policy.update(|_| AclPolicy { anon_role: role });
     }
 
-    pub(crate) fn anon_role(&self) -> Role {
-        self.policy.read(|p| p.anon_role)
-    }
-}
-
-/// The auth layer: the shared token table and policy plus the
-/// per-session factory.
-pub struct AuthLayer {
-    pub(crate) state: Arc<AuthState>,
-    metrics: Arc<PipelineMetrics>,
-    /// Whether the stack runs this layer (off: a passthrough).
-    pub(crate) on: bool,
-}
-
-impl AuthLayer {
-    /// Build the layer, loading `config.tokens` into the table.
-    pub fn new(config: &AuthConfig, metrics: Arc<PipelineMetrics>) -> Self {
-        let (mut writer, reader) = swmr_hash_map(64);
-        for spec in &config.tokens {
-            writer.insert(
-                spec.token.clone(),
-                Principal {
-                    name: Arc::from(spec.name.as_str()),
-                    role: spec.role,
-                },
-            );
-        }
-        let (policy_writer, policy_reader) = rcu_cell(AclPolicy {
-            anon_role: config.anon_role,
-        });
-        AuthLayer {
-            state: Arc::new(AuthState {
-                tokens: reader,
-                policy: policy_reader,
-                admin: Mutex::new(AuthAdmin {
-                    tokens: writer,
-                    policy: policy_writer,
-                }),
-            }),
-            metrics,
-            on: true,
-        }
-    }
-
-    /// Wrap `inner` in this layer's per-session service.
-    pub fn wrap<S: Service>(&self, _session: &Session, inner: S) -> AuthService<S> {
-        AuthService {
-            state: Arc::clone(&self.state),
-            metrics: Arc::clone(&self.metrics),
-            principal: None,
-            on: self.on,
-            inner,
-        }
-    }
-}
-
-/// The auth layer's per-session service, generic over the inner
-/// service it wraps.
-pub struct AuthService<S> {
-    pub(crate) state: Arc<AuthState>,
-    pub(crate) metrics: Arc<PipelineMetrics>,
-    /// Session state: who this connection authenticated as.
-    pub(crate) principal: Option<Principal>,
-    pub(crate) on: bool,
-    pub(crate) inner: S,
-}
-
-impl<S: Service> Service for AuthService<S> {
-    /// Batch path: **one** role lookup for the whole burst — the
-    /// session principal (or the RCU-published anon policy) is resolved
-    /// once, then every command is a cheap class check against that
-    /// role. Admitted commands travel downstream as one inner batch;
-    /// denied ones are rejected in place, order preserved. A burst
-    /// containing `AUTH` changes the session's role mid-stream, so it
-    /// falls back to the sequential path (logins are not hot).
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        if !self.on {
-            return self.inner.call_batch(reqs);
-        }
-        if reqs.iter().any(|r| matches!(r.command, Command::Auth(_))) {
-            return reqs.into_iter().map(|req| self.call(req)).collect();
-        }
-        let admission_t = crate::span::start();
-        let role = match &self.principal {
+    /// The role a session holds: its principal's, or the RCU-published
+    /// anonymous policy for a session that never logged in.
+    #[inline]
+    pub(crate) fn role_of(&self, principal: Option<&Principal>) -> Role {
+        match principal {
             Some(p) => p.role,
-            None => self.state.anon_role(),
-        };
-        // Fast path: everything admitted (the common case for an
-        // authenticated or read-write session) — no slot bookkeeping.
-        if reqs.iter().all(|req| role.allows(req.command.class())) {
-            self.metrics.auth_admitted.add(reqs.len() as u64);
-            crate::span::record(LayerKind::Auth, admission_t);
-            return self.inner.call_batch(reqs);
+            None => self.policy.read(|p| p.anon_role),
         }
-        crate::span::record(LayerKind::Auth, admission_t);
-        let metrics = Arc::clone(&self.metrics);
-        crate::pipeline::partition_batch(&mut self.inner, reqs, |req| {
-            if role.allows(req.command.class()) {
-                metrics.auth_admitted.increment();
-                None
-            } else {
-                metrics.auth_denied.increment();
-                Some(Response::rejection(
-                    "AUTH",
-                    format_args!(
-                        "{} requires {}, session role is {}",
-                        req.command.verb(),
-                        match req.command.class() {
-                            CommandClass::Write => Role::ReadWrite.name(),
-                            _ => Role::ReadOnly.name(),
-                        },
-                        role.name()
-                    ),
-                ))
+    }
+
+    /// `AUTH token`: on a known token the session becomes its
+    /// principal.
+    pub(crate) fn login(&self, token: &String, principal: &mut Option<Principal>) -> Response {
+        match self.tokens.get(token) {
+            Some(found) => {
+                self.metrics.auth_logins.increment();
+                *principal = Some(found);
+                Response::ok(Reply::Status("OK"))
             }
-        })
+            None => {
+                self.metrics.auth_denied.increment();
+                Response::rejection("AUTH", "bad token")
+            }
+        }
     }
 
-    fn call(&mut self, req: Request) -> Response {
-        if !self.on {
-            return self.inner.call(req);
-        }
-        let admission_t = crate::span::start();
-        if let Command::Auth(token) = &req.command {
-            let out = match self.state.tokens.get(token) {
-                Some(principal) => {
-                    self.metrics.auth_logins.increment();
-                    self.principal = Some(principal);
-                    Response::ok(Reply::Status("OK"))
-                }
-                None => {
-                    self.metrics.auth_denied.increment();
-                    Response::rejection("AUTH", "bad token")
-                }
-            };
-            crate::span::record(LayerKind::Auth, admission_t);
-            return out;
-        }
-        let role = match &self.principal {
-            Some(p) => p.role,
-            None => self.state.anon_role(),
-        };
-        if role.allows(req.command.class()) {
-            self.metrics.auth_admitted.increment();
-            crate::span::record(LayerKind::Auth, admission_t);
-            self.inner.call(req)
-        } else {
-            crate::span::record(LayerKind::Auth, admission_t);
-            self.metrics.auth_denied.increment();
-            Response::rejection(
-                "AUTH",
-                format_args!(
-                    "{} requires {}, session role is {}",
-                    req.command.verb(),
-                    match req.command.class() {
-                        CommandClass::Write => Role::ReadWrite.name(),
-                        _ => Role::ReadOnly.name(),
-                    },
-                    role.name()
-                ),
-            )
-        }
+    /// Count `admitted` and `denied` commands in one add each (a
+    /// burst's role checks are tallied, then counted once).
+    #[inline]
+    pub(crate) fn note(&self, admitted: u64, denied: u64) {
+        self.metrics.auth_admitted.add(admitted);
+        self.metrics.auth_denied.add(denied);
     }
+}
+
+/// The structured rejection when `role` may not run `cmd`, or `None`
+/// when it may. Uncounted: callers count with [`AuthState::note`].
+#[inline]
+pub(crate) fn denial(role: Role, cmd: &Command) -> Option<Response> {
+    let class = cmd.class();
+    if role.allows(class) {
+        return None;
+    }
+    Some(Response::rejection(
+        "AUTH",
+        format_args!(
+            "{} requires {}, session role is {}",
+            cmd.verb(),
+            match class {
+                CommandClass::Write => Role::ReadWrite.name(),
+                _ => Role::ReadOnly.name(),
+            },
+            role.name()
+        ),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MiddlewareConfig;
+    use crate::fused::tests::{one_layer, Ok200};
+    use crate::fused::FusedService;
+    use crate::pipeline::{LayerKind, Request, Service, Stack};
 
-    struct Ok200;
-    impl Service for Ok200 {
-        fn call(&mut self, _req: Request) -> Response {
-            Response::ok(Reply::Status("OK"))
-        }
-    }
-
-    fn layer(anon: Role) -> (AuthLayer, Arc<PipelineMetrics>) {
-        let metrics = Arc::new(PipelineMetrics::new());
-        let config = AuthConfig {
-            tokens: vec![TokenSpec {
-                name: "writer".into(),
-                token: "sekrit".into(),
-                role: Role::ReadWrite,
-            }],
-            anon_role: anon,
+    /// An auth-only stack over [`Ok200`] with one `writer` token.
+    fn layer(anon: Role) -> (FusedService<Ok200>, Arc<Stack>) {
+        let config = MiddlewareConfig {
+            auth: AuthConfig {
+                tokens: vec![TokenSpec {
+                    name: "writer".into(),
+                    token: "sekrit".into(),
+                    role: Role::ReadWrite,
+                }],
+                anon_role: anon,
+            },
+            ..MiddlewareConfig::none()
         };
-        (AuthLayer::new(&config, Arc::clone(&metrics)), metrics)
-    }
-
-    fn session() -> Session {
-        Session {
-            client: "t:1".into(),
-        }
+        one_layer(LayerKind::Auth, config, Ok200)
     }
 
     fn set() -> Request {
@@ -339,8 +257,8 @@ mod tests {
 
     #[test]
     fn anon_readonly_rejects_writes_until_auth() {
-        let (layer, metrics) = layer(Role::ReadOnly);
-        let mut svc = layer.wrap(&session(), Ok200);
+        let (mut svc, stack) = layer(Role::ReadOnly);
+        let metrics = stack.metrics();
         // Reads pass, writes are rejected with the structured tag.
         assert!(matches!(
             svc.call(Request::new(Command::Get("k".into()))).reply,
@@ -362,8 +280,7 @@ mod tests {
 
     #[test]
     fn bad_tokens_are_denied_and_do_not_upgrade() {
-        let (layer, _) = layer(Role::ReadOnly);
-        let mut svc = layer.wrap(&session(), Ok200);
+        let (mut svc, _) = layer(Role::ReadOnly);
         assert!(matches!(
             svc.call(Request::new(Command::Auth("wrong".into()))).reply,
             Reply::Error(_)
@@ -373,8 +290,7 @@ mod tests {
 
     #[test]
     fn control_verbs_pass_even_for_role_none() {
-        let (layer, _) = layer(Role::None);
-        let mut svc = layer.wrap(&session(), Ok200);
+        let (mut svc, _) = layer(Role::None);
         assert!(matches!(
             svc.call(Request::new(Command::Ping)).reply,
             Reply::Status(_)
@@ -387,8 +303,8 @@ mod tests {
 
     #[test]
     fn batch_resolves_the_role_once_and_preserves_order() {
-        let (layer, metrics) = layer(Role::ReadOnly);
-        let mut svc = layer.wrap(&session(), Ok200);
+        let (mut svc, stack) = layer(Role::ReadOnly);
+        let metrics = stack.metrics();
         let resps = svc.call_batch(vec![
             Request::new(Command::Get("a".into())),
             set(), // denied: readonly
@@ -408,8 +324,8 @@ mod tests {
 
     #[test]
     fn batch_with_auth_falls_back_to_sequential_login() {
-        let (layer, metrics) = layer(Role::ReadOnly);
-        let mut svc = layer.wrap(&session(), Ok200);
+        let (mut svc, stack) = layer(Role::ReadOnly);
+        let metrics = stack.metrics();
         // The login in the middle must upgrade the commands after it —
         // exactly what the sequential path does.
         let resps = svc.call_batch(vec![
@@ -425,24 +341,20 @@ mod tests {
 
     #[test]
     fn rcu_policy_reload_is_seen_by_live_sessions() {
-        let (layer, _) = layer(Role::ReadOnly);
-        let state = Arc::clone(&layer.state);
-        let mut svc = layer.wrap(&session(), Ok200);
+        let (mut svc, stack) = layer(Role::ReadOnly);
         assert!(matches!(svc.call(set()).reply, Reply::Error(_)));
-        state.publish_anon_role(Role::ReadWrite);
+        assert!(stack.auth_set_anon_role(Role::ReadWrite));
         assert!(matches!(svc.call(set()).reply, Reply::Status(_)));
     }
 
     #[test]
     fn runtime_token_insertion_takes_effect() {
-        let (layer, _) = layer(Role::ReadOnly);
-        let state = Arc::clone(&layer.state);
-        let mut svc = layer.wrap(&session(), Ok200);
+        let (mut svc, stack) = layer(Role::ReadOnly);
         assert!(matches!(
             svc.call(Request::new(Command::Auth("newtok".into()))).reply,
             Reply::Error(_)
         ));
-        state.set_token("ops", "newtok", Role::ReadWrite);
+        assert!(stack.auth_set_token("ops", "newtok", Role::ReadWrite));
         assert!(matches!(
             svc.call(Request::new(Command::Auth("newtok".into()))).reply,
             Reply::Status(_)

@@ -11,18 +11,22 @@
 //! `HEALTH`/`READY`/`STATS` stay answerable while the data plane is
 //! shedding.
 //!
-//! The breaker sits directly under the trace layer — *outside* the
-//! deadline layer — so it observes the `DEADLINE` rejections flowing
-//! back up and its own rejections skip the deadline clock entirely.
+//! The breaker phase runs directly after the trace phase — *outside*
+//! the deadline phase — so it observes the `DEADLINE` rejections the
+//! deadline check writes and its own rejections skip the deadline clock
+//! entirely. A burst is admitted against the state at burst start and
+//! each admitted response observed in order, so failure streaks
+//! accumulate once per burst rather than between its commands (the
+//! amortized metering exemption the deadline and rate-limit phases
+//! take too).
 //!
 //! Disabled by default: a zero failure threshold
-//! ([`BreakerConfig::failures`]) never trips, making the layer a pure
+//! ([`BreakerConfig::failures`]) never trips, making the phase a pure
 //! passthrough until `--breaker-failures` arms it.
 
 use crate::metrics::PipelineMetrics;
-use crate::pipeline::{partition_batch, LayerKind, Request, Response, Service, Session};
+use crate::pipeline::Response;
 use crate::protocol::{CommandClass, Reply};
-use crate::span;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -290,105 +294,6 @@ impl BreakerState {
     }
 }
 
-/// The circuit-breaker layer: shared state plus the per-session
-/// factory.
-pub struct BreakerLayer {
-    state: Arc<BreakerState>,
-    /// Whether the stack runs this layer (off: a passthrough).
-    pub(crate) on: bool,
-}
-
-impl BreakerLayer {
-    /// Build the layer.
-    pub fn new(config: BreakerConfig, metrics: Arc<PipelineMetrics>) -> Self {
-        BreakerLayer {
-            state: Arc::new(BreakerState::new(config, metrics)),
-            on: true,
-        }
-    }
-
-    /// Wrap `inner` in this layer's per-session service.
-    pub fn wrap<S: Service>(&self, _session: &Session, inner: S) -> BreakerService<S> {
-        BreakerService {
-            state: Arc::clone(&self.state),
-            on: self.on,
-            inner,
-        }
-    }
-}
-
-/// The breaker layer's per-session service, generic over the inner
-/// service it wraps. Sessions share the per-class state machines
-/// through the stack, so one connection's failures protect every
-/// connection.
-pub struct BreakerService<S> {
-    pub(crate) state: Arc<BreakerState>,
-    pub(crate) on: bool,
-    pub(crate) inner: S,
-}
-
-impl<S: Service> Service for BreakerService<S> {
-    fn call(&mut self, req: Request) -> Response {
-        if !self.on {
-            return self.inner.call(req);
-        }
-        let admission_t = span::start();
-        let class = req.command.class();
-        if let Some(rejection) = self.state.admit(class) {
-            span::record(LayerKind::Breaker, admission_t);
-            return rejection;
-        }
-        span::record(LayerKind::Breaker, admission_t);
-        let resp = self.inner.call(req);
-        let observe_t = span::start();
-        self.state.observe(class, &resp);
-        span::record(LayerKind::Breaker, observe_t);
-        resp
-    }
-
-    /// Batch path: every request is admitted against the state at burst
-    /// start, the admitted ones travel downstream as one inner batch,
-    /// and each admitted response is observed in order. Failure streaks
-    /// therefore accumulate once per burst rather than between its
-    /// commands — the same amortized metering exemption the deadline
-    /// and rate-limit layers take; ordering and reply bytes are
-    /// unchanged.
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        if !self.on {
-            return self.inner.call_batch(reqs);
-        }
-        let admission_t = span::start();
-        if !self.state.enabled() {
-            span::record(LayerKind::Breaker, admission_t);
-            return self.inner.call_batch(reqs);
-        }
-        let state = &self.state;
-        let mut admitted: Vec<Option<CommandClass>> = Vec::with_capacity(reqs.len());
-        span::record(LayerKind::Breaker, admission_t);
-        let resps = partition_batch(&mut self.inner, reqs, |req| {
-            let class = req.command.class();
-            match state.admit(class) {
-                Some(rejection) => {
-                    admitted.push(None);
-                    Some(rejection)
-                }
-                None => {
-                    admitted.push(Some(class));
-                    None
-                }
-            }
-        });
-        let observe_t = span::start();
-        for (resp, class) in resps.iter().zip(&admitted) {
-            if let Some(class) = *class {
-                self.state.observe(class, resp);
-            }
-        }
-        span::record(LayerKind::Breaker, observe_t);
-        resps
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,25 +436,25 @@ mod tests {
 
     #[test]
     fn service_trips_and_rejects_end_to_end() {
-        let metrics = Arc::new(PipelineMetrics::new());
-        let layer = BreakerLayer::new(
-            BreakerConfig {
-                failures: 2,
-                cooldown_ms: 60_000,
-                probes: 1,
-            },
-            Arc::clone(&metrics),
-        );
+        use crate::config::MiddlewareConfig;
+        use crate::fused::tests::one_layer;
+        use crate::pipeline::{LayerKind, Request, Service};
         struct Failing;
         impl Service for Failing {
             fn call(&mut self, _req: Request) -> Response {
                 Response::ok(Reply::Error("DEADLINE SET took 9us budget 1us".into()))
             }
         }
-        let session = Session {
-            client: "t:1".into(),
+        let config = MiddlewareConfig {
+            breaker: BreakerConfig {
+                failures: 2,
+                cooldown_ms: 60_000,
+                probes: 1,
+            },
+            ..MiddlewareConfig::none()
         };
-        let mut svc = layer.wrap(&session, Failing);
+        let (mut svc, stack) = one_layer(LayerKind::Breaker, config, Failing);
+        let metrics = stack.metrics();
         for _ in 0..2 {
             match svc
                 .call(Request::new(Command::Set("k".into(), "v".into())))

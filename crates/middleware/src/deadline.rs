@@ -1,18 +1,22 @@
 //! Deadline/timeout enforcement with per-class budgets.
 //!
-//! Each request is timed around the layers below (auth, rate-limit,
-//! TTL, the store round-trip). A request that overruns its class
+//! Each request is timed around the phases after this one (auth,
+//! rate-limit, shed, TTL, the store round-trip). A request that overruns its class
 //! budget is answered with a structured `DEADLINE` error instead of
 //! its reply — the mutation may still have applied (exactly like an
 //! HTTP 504 behind a gateway), the client just lost the latency SLO.
 //! `Control` verbs are exempt.
+//!
+//! A burst pays **one** deadline check: its budget is the sum of the
+//! per-request class budgets (exempt requests contribute zero), so the
+//! SLO scales with the work admitted; if the burst overruns it, every
+//! non-exempt response is replaced by a structured `DEADLINE batch …`
+//! error — the per-request attribution is gone, which is exactly the
+//! cost amortization buys. Under generous budgets (the production
+//! default) the group check fires in the same pathological stalls the
+//! per-request one would.
 
-use crate::metrics::PipelineMetrics;
-use crate::pipeline::{LayerKind, Request, Response, Service, Session};
 use crate::protocol::{CommandClass, Reply};
-use crate::span;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Per-class budgets, microseconds. A zero budget disables the check
 /// for that class.
@@ -35,145 +39,36 @@ impl Default for DeadlineConfig {
     }
 }
 
-/// The deadline layer: per-class budgets plus the per-session factory.
-pub struct DeadlineLayer {
-    config: DeadlineConfig,
-    metrics: Arc<PipelineMetrics>,
-    /// Whether the stack runs this layer (off: a passthrough).
-    pub(crate) on: bool,
-}
-
-impl DeadlineLayer {
-    /// Build the layer.
-    pub fn new(config: DeadlineConfig, metrics: Arc<PipelineMetrics>) -> Self {
-        DeadlineLayer {
-            config,
-            metrics,
-            on: true,
-        }
-    }
-
-    /// Wrap `inner` in this layer's per-session service.
-    pub fn wrap<S: Service>(&self, _session: &Session, inner: S) -> DeadlineService<S> {
-        DeadlineService {
-            config: self.config.clone(),
-            metrics: Arc::clone(&self.metrics),
-            on: self.on,
-            inner,
-        }
-    }
-}
-
-/// The deadline layer's per-session service, generic over the inner
-/// service it wraps.
-pub struct DeadlineService<S> {
-    pub(crate) config: DeadlineConfig,
-    metrics: Arc<PipelineMetrics>,
-    pub(crate) on: bool,
-    pub(crate) inner: S,
-}
-
-impl<S: Service> DeadlineService<S> {
-    /// This request's class budget (0 = exempt).
-    fn budget_us(&self, req: &Request) -> u64 {
-        match req.command.class() {
-            CommandClass::Read => self.config.read_us,
-            CommandClass::Write => self.config.write_us,
+impl DeadlineConfig {
+    /// The budget for one command of `class` (0 = exempt).
+    #[inline]
+    pub(crate) fn budget_us(&self, class: CommandClass) -> u64 {
+        match class {
+            CommandClass::Read => self.read_us,
+            CommandClass::Write => self.write_us,
             CommandClass::Control => 0,
         }
     }
 }
 
-impl<S: Service> Service for DeadlineService<S> {
-    /// Batch path: **one** deadline check for the whole burst. The
-    /// budget is the sum of the per-request class budgets (exempt
-    /// requests contribute zero), so the SLO scales with the work
-    /// admitted; if the burst overruns it, every non-exempt response is
-    /// replaced by a structured `DEADLINE` error — the per-request
-    /// attribution is gone, which is exactly the cost amortization
-    /// buys. Under generous budgets (the production default) the group
-    /// check fires in the same pathological stalls the per-request one
-    /// would, and replies stay identical to sequential `call`s.
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        if !self.on {
-            return self.inner.call_batch(reqs);
-        }
-        let admission_t = span::start();
-        let mut budget_us = 0u64;
-        let mut checked = 0u64;
-        let exempt: Vec<bool> = reqs
-            .iter()
-            .map(|req| {
-                let b = self.budget_us(req);
-                if b == 0 {
-                    true
-                } else {
-                    budget_us = budget_us.saturating_add(b);
-                    checked += 1;
-                    false
-                }
-            })
-            .collect();
-        span::record(LayerKind::Deadline, admission_t);
-        if budget_us == 0 {
-            return self.inner.call_batch(reqs);
-        }
-        let start = Instant::now();
-        let mut resps = self.inner.call_batch(reqs);
-        let elapsed_us = start.elapsed().as_micros() as u64;
-        let check_t = span::start();
-        self.metrics.deadline_checked.add(checked);
-        if elapsed_us > budget_us {
-            self.metrics.deadline_missed.add(checked);
-            for (resp, exempt) in resps.iter_mut().zip(exempt) {
-                if !exempt {
-                    resp.reply = Reply::Error(format!(
-                        "DEADLINE batch took {elapsed_us}us budget {budget_us}us"
-                    ));
-                }
-            }
-        }
-        span::record(LayerKind::Deadline, check_t);
-        resps
-    }
-
-    fn call(&mut self, req: Request) -> Response {
-        if !self.on {
-            return self.inner.call(req);
-        }
-        let admission_t = span::start();
-        let budget_us = self.budget_us(&req);
-        if budget_us == 0 {
-            span::record(LayerKind::Deadline, admission_t);
-            return self.inner.call(req);
-        }
-        let verb = req.command.verb();
-        let start = Instant::now();
-        span::record(LayerKind::Deadline, admission_t);
-        let resp = self.inner.call(req);
-        let elapsed_us = start.elapsed().as_micros() as u64;
-        let check_t = span::start();
-        self.metrics.deadline_checked.increment();
-        let out = if elapsed_us > budget_us {
-            self.metrics.deadline_missed.increment();
-            Response {
-                reply: Reply::Error(format!(
-                    "DEADLINE {verb} took {elapsed_us}us budget {budget_us}us"
-                )),
-                close: resp.close,
-            }
-        } else {
-            resp
-        };
-        span::record(LayerKind::Deadline, check_t);
-        out
-    }
+/// The structured overrun reply: `what` is the command's verb, or
+/// `batch` for a burst checked as one.
+pub(crate) fn overrun(what: &str, elapsed_us: u64, budget_us: u64) -> Reply {
+    Reply::Error(format!(
+        "DEADLINE {what} took {elapsed_us}us budget {budget_us}us"
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MiddlewareConfig;
+    use crate::fused::tests::one_layer;
+    use crate::fused::FusedService;
+    use crate::metrics::PipelineMetrics;
+    use crate::pipeline::{LayerKind, Request, Response, Service};
     use crate::protocol::Command;
+    use std::sync::Arc;
     use std::time::Duration;
 
     struct Slow(Duration);
@@ -184,16 +79,13 @@ mod tests {
         }
     }
 
-    fn wrap(
-        config: DeadlineConfig,
-        delay: Duration,
-    ) -> (DeadlineService<Slow>, Arc<PipelineMetrics>) {
-        let metrics = Arc::new(PipelineMetrics::new());
-        let layer = DeadlineLayer::new(config, Arc::clone(&metrics));
-        let session = Session {
-            client: "t:1".into(),
+    fn wrap(config: DeadlineConfig, delay: Duration) -> (FusedService<Slow>, Arc<PipelineMetrics>) {
+        let config = MiddlewareConfig {
+            deadline: config,
+            ..MiddlewareConfig::none()
         };
-        (layer.wrap(&session, Slow(delay)), metrics)
+        let (svc, stack) = one_layer(LayerKind::Deadline, config, Slow(delay));
+        (svc, Arc::clone(stack.metrics()))
     }
 
     #[test]

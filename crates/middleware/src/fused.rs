@@ -1,268 +1,500 @@
-//! The typed seven-layer chain and its batch-1 fast path.
+//! The admission driver: one flat pass over the seven layers' phases.
 //!
-//! [`FusedService`] is the canonical pipeline
-//! (trace → breaker → deadline → auth → rate-limit → shed → ttl)
-//! composed as **one concrete type**: every inter-layer call is a
-//! direct, inlinable call. Every stack runs on it — a layer the config
-//! leaves out is still in the type but forwards untouched. Bursts of
-//! any size run through the layers' own `call`/`call_batch` (the
-//! layered onion); on top of that, [`FusedService::call_one`] gives
-//! depth-1 bursts (the pipeline-1 workload, the stack's weakest point)
-//! a fast path that runs all seven admission checks inline:
+//! [`FusedService`] is one session's admission plane: it holds the
+//! [`Stack`]'s shared layer state by one `Arc`, plus the session's own
+//! principal, token bucket and span-sampling phase, and runs the phases
+//! of the layers that are on, in canonical order.
 //!
-//! * **one** clock read pair (shared by the trace histogram and the
-//!   deadline check, which in the layered path each pay their own),
-//! * no `Vec<Request>` batch construction and no per-layer calls,
-//! * no span-scope bookkeeping (the fast path only runs on unsampled
-//!   ticks, where every `span::start()` would be a `None` anyway).
+//! **A burst** ([`Service::call_batch`]) runs each pre-check once over
+//! the requests still admitted, answering rejections in place — the
+//! trace ring verbs, breaker admission, one summed deadline budget, one
+//! auth role lookup, one bulk token take, one pressure read per shard,
+//! the TTL plan — then makes exactly **one** inner `call_batch` and
+//! runs the post-checks: the burst's deadline check, breaker
+//! observation, and trace recording with the `STATS` fold and reset.
 //!
-//! The fast path **falls back** to the layered `call` when any layer
-//! is off (it inlines exactly the seven-layer shape), the moment a
-//! command needs a layer's own handling — `AUTH` logins (session state
-//! changes inside the auth layer), `QUIT` (rate-limit exemption),
-//! `STATS`/`STATS RESET` (the trace layer folds/zeroes the `mw_*`
-//! lines), the `SLOWLOG`/`TRACE` ring verbs (answered by the trace
-//! layer) — or when the connection's sampling phase says this command
-//! opens a span scope (each layer must bracket its own segment, which
-//! only the layered path does). Armed TTL timers do **not** force the
-//! fallback: the fast path calls into the TTL service, whose
-//! lock-serialized reap semantics apply unchanged; only the
-//! empty-sidecar probe is short-circuited.
+//! **The sequential split.** A burst carrying `AUTH` (which changes the
+//! session's role mid-stream) or meeting armed TTL timers or `EXPIRE`
+//! (which need per-key reap locking) runs the auth-to-TTL phases one
+//! request at a time, each through `inner.call` — never a sub-burst
+//! through `inner.call_batch`, which the server's store executor would
+//! treat as a whole burst and defer its acks past later reads.
 //!
-//! Replies are byte-identical to the layered `call` by construction
-//! (the proptest suite drives randomized bursts through both), and the
-//! metrics are too: every counter and histogram the seven layers would
-//! touch for an unsampled singleton is touched here, in the same
-//! order. It stays because it pays: on the retwis wire benchmark
-//! (pipeline 1, a 2-vCPU host), forwarding `call_one` to the layered
-//! `call` cost 5.6% of throughput and 6.5% more CPU per operation.
+//! **Batch 1** ([`FusedService::call_one`]) applies the same phase
+//! functions to one request: no `Vec`, one clock pair for the deadline
+//! check and the trace histograms, span segments only on a sampled tick
+//! (walking seven layer services per singleton instead cost 5.6% of
+//! retwis throughput on the wire, on a 2-vCPU host).
 
-use crate::auth::{AuthService, Role};
-use crate::breaker::BreakerService;
-use crate::deadline::DeadlineService;
-use crate::pipeline::{Request, Response, Service};
-use crate::protocol::{Command, CommandClass, Reply};
-use crate::rate_limit::RateLimitService;
-use crate::shed::ShedService;
-use crate::trace::{class_name, TraceService};
-use crate::ttl::TtlService;
+use crate::auth::{self, Principal};
+use crate::deadline;
+use crate::pipeline::{LayerKind, Request, Response, Service, Session, Stack};
+use crate::protocol::{Command, CommandClass};
+use crate::rate_limit::{self, Bucket};
+use crate::span;
+use crate::trace::{self, class_name, observability_reply};
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// The canonical seven-layer chain as one concrete (monomorphized)
-/// type — the chain every stack runs on — built by
+/// One session's admission driver over the store service `S` — the
+/// chain every stack runs on — built by
 /// [`Stack::fused_service`](crate::pipeline::Stack::fused_service).
-pub type FusedService<S> = TraceService<
-    BreakerService<DeadlineService<AuthService<RateLimitService<ShedService<TtlService<S>>>>>>,
->;
+pub struct FusedService<S> {
+    stack: Arc<Stack>,
+    client: Arc<str>,
+    /// Per-connection sampling phase: 0 means "sample now", so the
+    /// first command of every connection is always covered —
+    /// contention-free and deterministic for tests.
+    tick: u32,
+    /// Who this session authenticated as (`AUTH`).
+    principal: Option<Principal>,
+    /// The session's token bucket; `None` exactly when the rate-limit
+    /// layer is off.
+    bucket: Option<Arc<Bucket>>,
+    inner: S,
+}
 
-/// Commands a specific layer handles itself (session logins, ring
-/// verbs, stats folding, the `QUIT`/`HEALTH`/`READY` rate-limit
-/// exemption): these take the layered path so that handling runs
-/// exactly once, in its layer.
-fn needs_layer_dispatch(cmd: &Command) -> bool {
-    matches!(
-        cmd,
-        Command::Auth(_)
-            | Command::Quit
-            | Command::Health
-            | Command::Ready
-            | Command::Stats
-            | Command::StatsReset
-            | Command::SlowlogGet
-            | Command::SlowlogReset
-            | Command::SlowlogLen
-            | Command::TraceGet
-            | Command::TraceReset
-            | Command::TraceLen
-    )
+/// One request's progress through a burst's phases.
+struct Slot {
+    class: CommandClass,
+    stats: bool,
+    /// The answer a pre-check gave in place; `None` while the request
+    /// is still admitted.
+    answer: Option<Response>,
+    /// Admitted by an armed breaker: its response is observed.
+    observed: bool,
+    /// Counted into the burst's deadline budget.
+    timed: bool,
+}
+
+/// A burst in admission: its requests, one slot each, and how many are
+/// still admitted.
+struct Burst {
+    reqs: Vec<Request>,
+    slots: Vec<Slot>,
+    live: usize,
+}
+
+impl Burst {
+    /// The still-admitted requests, with their slots.
+    fn live(&mut self) -> impl Iterator<Item = (&Command, &mut Slot)> {
+        self.reqs
+            .iter()
+            .map(|r| &r.command)
+            .zip(self.slots.iter_mut())
+            .filter(|(_, slot)| slot.answer.is_none())
+    }
+
+    /// One phase of `kind` over the still-admitted requests: `check`
+    /// answers a request in place by returning its rejection. The
+    /// phase's span segment started at `t`. Returns how many requests it
+    /// answered.
+    fn phase(
+        &mut self,
+        kind: LayerKind,
+        t: Option<Instant>,
+        mut check: impl FnMut(&Command, &mut Slot) -> Option<Response>,
+    ) -> usize {
+        let mut answered = 0;
+        for (cmd, slot) in self.live() {
+            if let Some(resp) = check(cmd, slot) {
+                slot.answer = Some(resp);
+                answered += 1;
+            }
+        }
+        self.live -= answered;
+        span::record(kind, t);
+        answered
+    }
+}
+
+impl<S> FusedService<S> {
+    pub(crate) fn new(stack: Arc<Stack>, session: &Session, inner: S) -> Self {
+        let bucket = stack
+            .on(LayerKind::RateLimit)
+            .then(|| stack.rate.bucket_for(&session.client));
+        FusedService {
+            stack,
+            client: Arc::from(session.client.as_str()),
+            tick: 0,
+            principal: None,
+            bucket,
+            inner,
+        }
+    }
+
+    /// Advance the sampling phase: whether this command or burst opens
+    /// a span. Only the trace layer samples.
+    fn tick_sample(&mut self) -> bool {
+        let every = self.stack.sample_every;
+        if every == 0 || !self.stack.on(LayerKind::Trace) {
+            return false;
+        }
+        let hit = self.tick == 0;
+        self.tick += 1;
+        if self.tick >= every {
+            self.tick = 0;
+        }
+        hit
+    }
+}
+
+impl<S> Drop for FusedService<S> {
+    fn drop(&mut self) {
+        if let Some(bucket) = &self.bucket {
+            self.stack.rate.release(&self.client, bucket);
+        }
+    }
 }
 
 impl<S: Service> FusedService<S> {
-    /// Whether all seven layers are on: the only shape the fast path
-    /// inlines.
-    fn all_layers_on(&self) -> bool {
-        let breaker = &self.inner;
-        let deadline = &breaker.inner;
-        let auth = &deadline.inner;
-        let rate = &auth.inner;
-        let shed = &rate.inner;
-        let ttl = &shed.inner;
-        self.on
-            && breaker.on
-            && deadline.on
-            && auth.on
-            && rate.bucket.is_some()
-            && shed.on
-            && ttl.on
-    }
-
-    /// The batch-1 fast path: all seven admission checks inline, one
-    /// clock read pair, falling back to the layered [`Service::call`]
-    /// for partial stacks, for commands a layer owns and for
-    /// span-sampled ticks (see the module doc for the exact
-    /// conditions).
+    /// One request: every phase applied to it, then its one inner
+    /// `call`.
     pub fn call_one(&mut self, req: Request) -> Response {
-        // Peek the sampling phase without consuming it: a sampled tick
-        // needs the layered path (each layer brackets its own span
-        // segment), and the delegated call advances the phase itself.
-        let sampled = self.sample_every != 0 && self.tick == 0;
-        if sampled || needs_layer_dispatch(&req.command) || !self.all_layers_on() {
-            return self.call(req);
-        }
-        // Unsampled: advance the phase exactly as tick_sample() would.
-        if self.sample_every != 0 {
-            self.tick += 1;
-            if self.tick >= self.sample_every {
-                self.tick = 0;
+        let stack = &*self.stack;
+        let trace_on = stack.on(LayerKind::Trace);
+        if trace_on {
+            if let Some(reply) = observability_reply(&stack.metrics, &req.command) {
+                stack.metrics.traced.increment();
+                return Response::ok(reply);
             }
         }
+        let breaker_on = stack.on(LayerKind::Breaker);
+        let deadline_on = stack.on(LayerKind::Deadline);
         let class = req.command.class();
         let verb = req.command.verb();
-        // Deadline admission: the class budget (0 = exempt). The
-        // deadline layer now sits one level below the breaker.
-        let budget_us = match class {
-            CommandClass::Read => self.inner.inner.config.read_us,
-            CommandClass::Write => self.inner.inner.config.write_us,
-            CommandClass::Control => 0,
-        };
-        // The one clock read pair, shared by the deadline check and
-        // the trace histograms.
-        let start = Instant::now();
-        // Breaker admission, outside the deadline clock in the onion:
-        // a breaker rejection skips the deadline check (and is never
-        // observed), exactly like the layered path.
-        let breaker_verdict = self.inner.state.admit(class);
-        let breaker_admitted = breaker_verdict.is_none();
-        let resp = match breaker_verdict {
-            Some(rejection) => rejection,
-            None => {
-                // Auth admission: one role resolve (session principal
-                // or the RCU-published anon policy), one class check.
-                let auth = &mut self.inner.inner.inner;
-                let role = match &auth.principal {
-                    Some(p) => p.role,
-                    None => auth.state.anon_role(),
-                };
-                if !role.allows(class) {
-                    auth.metrics.auth_denied.increment();
-                    Response::rejection(
-                        "AUTH",
-                        format_args!(
-                            "{} requires {}, session role is {}",
-                            verb,
-                            match class {
-                                CommandClass::Write => Role::ReadWrite.name(),
-                                _ => Role::ReadOnly.name(),
-                            },
-                            role.name()
-                        ),
-                    )
-                } else {
-                    auth.metrics.auth_admitted.increment();
-                    // Rate-limit admission: one token take from the
-                    // session's bucket (QUIT/HEALTH/READY never reach
-                    // here — they are layer-dispatch verbs).
-                    let rate = &mut auth.inner;
-                    let bucket = rate.bucket.as_ref().expect("all layers on");
-                    if !rate.state.admit(bucket) {
-                        Response::rejection(
-                            "RATELIMIT",
-                            format_args!("rejected retry_us={}", rate.state.retry_us()),
-                        )
-                    } else {
-                        // Shed admission: one pressure read for writes
-                        // when the layer is armed and a probe seated.
-                        let shed = &mut rate.inner;
-                        if let Some(rejection) = shed.state.admit(&req.command) {
-                            rejection
-                        } else {
-                            // TTL admission: with no timer armed
-                            // anywhere no key can be timed, so kv
-                            // commands skip even the sidecar probe;
-                            // anything else (armed timers, EXPIRE)
-                            // runs the monomorphized TTL service with
-                            // its full reap semantics.
-                            let ttl = &mut shed.inner;
-                            match &req.command {
-                                Command::Get(_)
-                                | Command::Set(..)
-                                | Command::Del(_)
-                                | Command::Incr(..)
-                                    if ttl.state.sidecar.is_empty() =>
-                                {
-                                    ttl.state.metrics.ttl_checked.increment();
-                                    ttl.inner.call(req)
-                                }
-                                _ => ttl.call(req),
-                            }
-                        }
-                    }
+        let stats = matches!(req.command, Command::Stats);
+        let reset = matches!(req.command, Command::StatsReset);
+        let span = self.tick_sample().then(span::enter);
+        let sampled = span.is_some();
+        // The one clock pair, shared by the deadline check and the
+        // trace histograms.
+        let start = (trace_on || deadline_on).then(Instant::now);
+        // A breaker rejection skips the deadline check and is never
+        // observed.
+        let (mut admitted, mut budget_us) = (true, 0);
+        let mut resp = 'admit: {
+            let stack = &*self.stack;
+            if breaker_on {
+                let t = sampled.then(Instant::now);
+                let verdict = stack.breaker.admit(class);
+                span::record(LayerKind::Breaker, t);
+                if let Some(rejection) = verdict {
+                    admitted = false;
+                    break 'admit rejection;
                 }
             }
+            if deadline_on {
+                let t = sampled.then(Instant::now);
+                budget_us = stack.deadline.budget_us(class);
+                span::record(LayerKind::Deadline, t);
+            }
+            self.admit_one(req, sampled)
         };
-        let elapsed_us = start.elapsed().as_micros() as u64;
-        let metrics = &self.metrics;
-        // Deadline check, against the same clock pair — only for
-        // responses that passed the breaker (in the onion the deadline
-        // layer never sees a breaker rejection).
-        let resp = if breaker_admitted && budget_us != 0 {
+        let elapsed_us = start.map_or(0, |t| t.elapsed().as_micros() as u64);
+        let stack = &*self.stack;
+        let metrics = &stack.metrics;
+        if admitted && budget_us != 0 {
+            let t = sampled.then(Instant::now);
             metrics.deadline_checked.increment();
             if elapsed_us > budget_us {
                 metrics.deadline_missed.increment();
-                Response {
-                    reply: Reply::Error(format!(
-                        "DEADLINE {verb} took {elapsed_us}us budget {budget_us}us"
-                    )),
-                    close: resp.close,
-                }
-            } else {
-                resp
+                resp.reply = deadline::overrun(verb, elapsed_us, budget_us);
             }
-        } else {
-            resp
-        };
-        // Breaker observation of the post-deadline response: DEADLINE
-        // overruns count toward the trip threshold, successes reset
-        // the streak — same order as the onion.
-        if breaker_admitted {
-            self.inner.state.observe(class, &resp);
+            span::record(LayerKind::Deadline, t);
         }
-        // Trace bookkeeping: count, class histogram, slowlog offer —
-        // what the trace layer records for an unsampled singleton.
-        metrics.traced.increment();
-        match class {
-            CommandClass::Read => metrics.read_latency.record(elapsed_us),
-            CommandClass::Write => metrics.write_latency.record(elapsed_us),
-            CommandClass::Control => metrics.control_latency.record(elapsed_us),
+        if admitted && breaker_on {
+            let t = sampled.then(Instant::now);
+            stack.breaker.observe(class, &resp);
+            span::record(LayerKind::Breaker, t);
         }
-        metrics
-            .slowlog
-            .offer(&self.client, verb, class_name(class), 1, elapsed_us, None);
+        if trace_on {
+            let t = sampled.then(Instant::now);
+            // Render before recording, so a `STATS` reply reflects the
+            // traffic *before* it, not itself.
+            if stats {
+                trace::fold_stats(metrics, stack.depth(), &mut resp);
+            }
+            metrics.traced.increment();
+            match class {
+                CommandClass::Read => metrics.read_latency.record(elapsed_us),
+                CommandClass::Write => metrics.write_latency.record(elapsed_us),
+                CommandClass::Control => metrics.control_latency.record(elapsed_us),
+            }
+            span::record(LayerKind::Trace, t);
+            let class = class_name(class);
+            trace::finish(metrics, &self.client, span, verb, class, 1, elapsed_us);
+            if reset {
+                // Zero the middleware plane last, after this command's
+                // own recording, so the next STATS starts clean.
+                metrics.reset();
+            }
+        }
         resp
+    }
+
+    /// The auth, rate-limit, shed and TTL phases for one request, then
+    /// its one inner `call` — the tail of [`FusedService::call_one`],
+    /// and of every request of a burst that takes the sequential split.
+    fn admit_one(&mut self, req: Request, sampled: bool) -> Response {
+        let stack = &*self.stack;
+        let cmd = &req.command;
+        if stack.on(LayerKind::Auth) {
+            let t = sampled.then(Instant::now);
+            let verdict = match cmd {
+                Command::Auth(token) => Some(stack.auth.login(token, &mut self.principal)),
+                _ => {
+                    let denied = auth::denial(stack.auth.role_of(self.principal.as_ref()), cmd);
+                    let no = denied.is_some() as u64;
+                    stack.auth.note(1 - no, no);
+                    denied
+                }
+            };
+            span::record(LayerKind::Auth, t);
+            if let Some(resp) = verdict {
+                return resp;
+            }
+        }
+        if let Some(bucket) = &self.bucket {
+            if !rate_limit::exempt(cmd) {
+                let t = sampled.then(Instant::now);
+                let granted = stack.rate.admit_n(bucket, 1) == 1;
+                span::record(LayerKind::RateLimit, t);
+                if !granted {
+                    return stack.rate.rejection();
+                }
+            }
+        }
+        if stack.on(LayerKind::Shed) {
+            let t = sampled.then(Instant::now);
+            let verdict = stack.shed.admit(cmd, None);
+            span::record(LayerKind::Shed, t);
+            if let Some(rejection) = verdict {
+                return rejection;
+            }
+        }
+        if stack.on(LayerKind::Ttl) {
+            let t = sampled.then(Instant::now);
+            let plan = stack.ttl.plan(cmd);
+            span::record(LayerKind::Ttl, t);
+            return stack.ttl.run(plan, req, &mut self.inner);
+        }
+        self.inner.call(req)
+    }
+}
+
+impl<S: Service> Service for FusedService<S> {
+    fn call(&mut self, req: Request) -> Response {
+        self.call_one(req)
+    }
+
+    /// The burst driver: each pre-check once over the still-admitted
+    /// requests, one inner call, then the post-checks (see the module
+    /// doc). Replies match `call` on each request in turn.
+    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
+        let n = reqs.len();
+        let stack = &*self.stack;
+        let trace_on = stack.on(LayerKind::Trace);
+        // One pass notes what the burst carries and answers the trace
+        // ring verbs in place.
+        let (mut reset, mut login, mut arming) = (false, false, false);
+        let mut live = n;
+        let slots = reqs
+            .iter()
+            .map(|r| {
+                match r.command {
+                    Command::StatsReset => reset = true,
+                    Command::Auth(_) => login = true,
+                    Command::Expire(..) => arming = true,
+                    _ => {}
+                }
+                // The ring verbs are control verbs.
+                let class = r.command.class();
+                let answer = (trace_on && class == CommandClass::Control)
+                    .then(|| observability_reply(&stack.metrics, &r.command))
+                    .flatten()
+                    .map(Response::ok);
+                live -= answer.is_some() as usize;
+                Slot {
+                    class,
+                    stats: matches!(r.command, Command::Stats),
+                    answer,
+                    observed: false,
+                    timed: false,
+                }
+            })
+            .collect();
+        let span = self.tick_sample().then(span::enter);
+        let sampled = span.is_some();
+        let mut burst = Burst { reqs, slots, live };
+        let stack = &*self.stack;
+        let start = (trace_on || stack.on(LayerKind::Deadline)).then(Instant::now);
+        let observing = stack.on(LayerKind::Breaker) && stack.breaker.enabled();
+        if observing {
+            burst.phase(LayerKind::Breaker, sampled.then(Instant::now), |_, slot| {
+                let verdict = stack.breaker.admit(slot.class);
+                slot.observed = verdict.is_none();
+                verdict
+            });
+        }
+        let (mut budget_us, mut checked) = (0u64, 0u64);
+        if stack.on(LayerKind::Deadline) {
+            burst.phase(
+                LayerKind::Deadline,
+                sampled.then(Instant::now),
+                |_, slot| {
+                    let budget = stack.deadline.budget_us(slot.class);
+                    slot.timed = budget != 0;
+                    budget_us = budget_us.saturating_add(budget);
+                    checked += slot.timed as u64;
+                    None
+                },
+            );
+        }
+        let split = (login && stack.on(LayerKind::Auth))
+            || (stack.on(LayerKind::Ttl) && (arming || stack.ttl.armed()));
+        let mut out: Vec<Response> = if split {
+            // The sequential split: the remaining phases and the inner
+            // call, one request at a time.
+            let reqs = std::mem::take(&mut burst.reqs);
+            reqs.into_iter()
+                .zip(burst.slots.iter_mut())
+                .map(|(req, slot)| match slot.answer.take() {
+                    Some(answer) => answer,
+                    None => self.admit_one(req, sampled),
+                })
+                .collect()
+        } else {
+            if stack.on(LayerKind::Auth) && burst.live > 0 {
+                let t = sampled.then(Instant::now);
+                let role = stack.auth.role_of(self.principal.as_ref());
+                let live = burst.live;
+                // A read-write role is allowed every class: no per-request
+                // check.
+                let denied = if role.allows(CommandClass::Write) {
+                    span::record(LayerKind::Auth, t);
+                    0
+                } else {
+                    burst.phase(LayerKind::Auth, t, |cmd, _| auth::denial(role, cmd))
+                };
+                stack.auth.note((live - denied) as u64, denied as u64);
+            }
+            if let Some(bucket) = self.bucket.as_ref().filter(|_| burst.live > 0) {
+                let t = sampled.then(Instant::now);
+                let chargeable = burst
+                    .live()
+                    .filter(|(cmd, _)| !rate_limit::exempt(cmd))
+                    .count() as u64;
+                let mut granted = stack.rate.admit_n(bucket, chargeable);
+                if granted == chargeable {
+                    span::record(LayerKind::RateLimit, t);
+                } else {
+                    burst.phase(LayerKind::RateLimit, t, |cmd, _| {
+                        if rate_limit::exempt(cmd) {
+                            None
+                        } else if granted > 0 {
+                            granted -= 1;
+                            None
+                        } else {
+                            Some(stack.rate.rejection())
+                        }
+                    });
+                }
+            }
+            if stack.on(LayerKind::Shed) && stack.shed.active().is_some() {
+                let mut verdicts = HashMap::new();
+                burst.phase(LayerKind::Shed, sampled.then(Instant::now), |cmd, _| {
+                    stack.shed.admit(cmd, Some(&mut verdicts))
+                });
+            }
+            if stack.on(LayerKind::Ttl) && burst.live > 0 {
+                let t = sampled.then(Instant::now);
+                stack.ttl.forward_all(burst.live().map(|(cmd, _)| cmd));
+                span::record(LayerKind::Ttl, t);
+            }
+            let reqs = std::mem::take(&mut burst.reqs);
+            if burst.live == n {
+                self.inner.call_batch(reqs)
+            } else {
+                let admitted: Vec<Request> = reqs
+                    .into_iter()
+                    .zip(&burst.slots)
+                    .filter(|(_, slot)| slot.answer.is_none())
+                    .map(|(req, _)| req)
+                    .collect();
+                let mut inner = if admitted.is_empty() {
+                    Vec::new()
+                } else {
+                    self.inner.call_batch(admitted)
+                }
+                .into_iter();
+                burst
+                    .slots
+                    .iter_mut()
+                    .map(|slot| match slot.answer.take() {
+                        Some(answer) => answer,
+                        None => inner
+                            .next()
+                            .expect("one inner response per admitted request"),
+                    })
+                    .collect()
+            }
+        };
+        let slots = burst.slots;
+        let elapsed_us = start.map_or(0, |t| t.elapsed().as_micros() as u64);
+        let stack = &*self.stack;
+        let metrics = &stack.metrics;
+        if budget_us != 0 {
+            let t = sampled.then(Instant::now);
+            metrics.deadline_checked.add(checked);
+            if elapsed_us > budget_us {
+                metrics.deadline_missed.add(checked);
+                for (resp, _) in out.iter_mut().zip(&slots).filter(|(_, s)| s.timed) {
+                    resp.reply = deadline::overrun("batch", elapsed_us, budget_us);
+                }
+            }
+            span::record(LayerKind::Deadline, t);
+        }
+        if observing {
+            let t = sampled.then(Instant::now);
+            for (resp, slot) in out.iter().zip(&slots).filter(|(_, s)| s.observed) {
+                stack.breaker.observe(slot.class, resp);
+            }
+            span::record(LayerKind::Breaker, t);
+        }
+        if trace_on {
+            let t = sampled.then(Instant::now);
+            for (resp, _) in out.iter_mut().zip(&slots).filter(|(_, s)| s.stats) {
+                trace::fold_stats(metrics, stack.depth(), resp);
+            }
+            metrics.traced.add(n as u64);
+            metrics.batch_commands.add(n as u64);
+            metrics.batches.increment();
+            metrics.batch_latency.record(elapsed_us);
+            span::record(LayerKind::Trace, t);
+            trace::finish(metrics, &self.client, span, "BATCH", "batch", n, elapsed_us);
+            if reset {
+                // Last, so the burst's own recording nets to zero too.
+                metrics.reset();
+            }
+        }
+        out
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::auth::TokenSpec;
+    use crate::auth::{Role, TokenSpec};
     use crate::config::MiddlewareConfig;
-    use crate::pipeline::{Session, Stack};
-    use std::collections::HashMap;
-    use std::sync::Arc;
+    use crate::protocol::Reply;
 
     /// A deterministic in-memory store (the same shape the shard plane
-    /// presents to the innermost layer).
-    struct MapStore {
+    /// presents to the admission driver).
+    #[derive(Default)]
+    pub(crate) struct MapStore {
         map: HashMap<String, String>,
-    }
-
-    impl MapStore {
-        fn new() -> Self {
-            MapStore {
-                map: HashMap::new(),
-            }
-        }
     }
 
     impl Service for MapStore {
@@ -300,6 +532,42 @@ mod tests {
         }
     }
 
+    /// A store that answers `+OK` to everything.
+    pub(crate) struct Ok200;
+
+    impl Service for Ok200 {
+        fn call(&mut self, _req: Request) -> Response {
+            Response::ok(Reply::Status("OK"))
+        }
+    }
+
+    /// A driver over `inner` (client `t:1`) on a fresh stack built from
+    /// `config`, plus the stack, for its metrics and admin calls.
+    fn chain_over<S: Service>(
+        config: &MiddlewareConfig,
+        inner: S,
+    ) -> (FusedService<S>, Arc<Stack>) {
+        let stack = Stack::build(config);
+        let session = Session {
+            client: "t:1".into(),
+        };
+        let svc = stack
+            .fused_service(&session, inner)
+            .expect("every stack builds the typed chain");
+        (svc, stack)
+    }
+
+    /// [`chain_over`] a one-layer stack: the config's tuning with only
+    /// `kind` on.
+    pub(crate) fn one_layer<S: Service>(
+        kind: LayerKind,
+        config: MiddlewareConfig,
+        inner: S,
+    ) -> (FusedService<S>, Arc<Stack>) {
+        let layers = vec![kind];
+        chain_over(&MiddlewareConfig { layers, ..config }, inner)
+    }
+
     fn config() -> MiddlewareConfig {
         let mut config = MiddlewareConfig::full();
         config.auth.tokens.push(TokenSpec {
@@ -310,34 +578,13 @@ mod tests {
         config
     }
 
-    fn session() -> Session {
-        Session {
-            client: "t:1".into(),
-        }
-    }
-
-    /// A chain over a fresh stack built from `config`, plus the stack
-    /// (for its metrics).
     fn chain(config: &MiddlewareConfig) -> (FusedService<MapStore>, Arc<Stack>) {
-        let stack = Stack::build(config);
-        let chain = stack
-            .fused_service(&session(), MapStore::new())
-            .expect("every stack builds the typed chain");
-        (chain, stack)
-    }
-
-    /// Two chains over identically configured stacks: the first for
-    /// `call_one`, the second the layered reference driven by `call`.
-    fn pair() -> (FusedService<MapStore>, FusedService<MapStore>) {
-        (chain(&config()).0, chain(&config()).0)
+        chain_over(config, MapStore::default())
     }
 
     #[test]
     fn fused_chain_is_a_service() {
-        let stack = Stack::build(&config());
-        let mut fused = stack
-            .fused_service(&session(), MapStore::new())
-            .expect("full stack fuses");
+        let (mut fused, _) = chain(&config());
         let resp = fused.call(Request::new(Command::Ping));
         assert_eq!(resp.reply, Reply::Status("OK"));
         let resps = fused.call_batch(vec![
@@ -348,35 +595,40 @@ mod tests {
     }
 
     #[test]
-    fn call_one_matches_layered_call_reply_for_reply() {
-        let (mut fused, mut chain) = pair();
-        let script: Vec<Command> = vec![
-            Command::Set("a".into(), "1".into()),
-            Command::Get("a".into()),
-            Command::Incr("n".into(), 4),
-            Command::Ping,
-            Command::Auth("sekrit".into()),
-            Command::Set("b".into(), "2".into()),
-            Command::Expire("b".into(), 10_000),
-            Command::Get("b".into()),
-            Command::Del("a".into()),
-            Command::Get("a".into()),
-            Command::SlowlogLen,
-            Command::Quit,
+    fn call_one_answers_the_script_reply_for_reply() {
+        let (mut fused, _) = chain(&config());
+        let script: Vec<(Command, Reply, bool)> = vec![
+            (
+                Command::Set("a".into(), "1".into()),
+                Reply::Status("OK"),
+                false,
+            ),
+            (Command::Get("a".into()), Reply::Value("1".into()), false),
+            (Command::Incr("n".into(), 4), Reply::Int(4), false),
+            (Command::Ping, Reply::Status("OK"), false),
+            (Command::Auth("sekrit".into()), Reply::Status("OK"), false),
+            (
+                Command::Set("b".into(), "2".into()),
+                Reply::Status("OK"),
+                false,
+            ),
+            (Command::Expire("b".into(), 10_000), Reply::Int(1), false),
+            (Command::Get("b".into()), Reply::Value("2".into()), false),
+            (Command::Del("a".into()), Reply::Status("OK"), false),
+            (Command::Get("a".into()), Reply::Nil, false),
+            (Command::SlowlogLen, Reply::Int(0), false),
+            (Command::Quit, Reply::Status("OK"), true),
         ];
-        for cmd in script {
-            let want = chain.call(Request::new(cmd.clone()));
+        for (cmd, reply, close) in script {
             let got = fused.call_one(Request::new(cmd.clone()));
-            assert_eq!(got.reply, want.reply, "command {cmd:?}");
-            assert_eq!(got.close, want.close, "command {cmd:?}");
+            assert_eq!(got.reply, reply, "command {cmd:?}");
+            assert_eq!(got.close, close, "command {cmd:?}");
         }
     }
 
     #[test]
-    fn call_one_matches_the_onion_counters() {
-        // The onion here is the layered `call` of the same chain type.
-        let (mut fused, fused_stack) = chain(&config());
-        let (mut layered, layered_stack) = chain(&config());
+    fn call_one_counts_once_per_layer() {
+        let (mut fused, stack) = chain(&config());
         let script: Vec<Command> = vec![
             Command::Set("a".into(), "1".into()),
             Command::Get("a".into()),
@@ -384,32 +636,29 @@ mod tests {
             Command::Get("miss".into()),
         ];
         for cmd in &script {
-            layered.call(Request::new(cmd.clone()));
             fused.call_one(Request::new(cmd.clone()));
         }
-        let (f, d) = (fused_stack.metrics(), layered_stack.metrics());
-        assert_eq!(f.traced.sum(), d.traced.sum());
-        assert_eq!(f.read_latency.count(), d.read_latency.count());
-        assert_eq!(f.write_latency.count(), d.write_latency.count());
-        assert_eq!(f.control_latency.count(), d.control_latency.count());
-        assert_eq!(f.auth_admitted.sum(), d.auth_admitted.sum());
-        assert_eq!(f.rate_admitted.sum(), d.rate_admitted.sum());
-        assert_eq!(f.deadline_checked.sum(), d.deadline_checked.sum());
-        assert_eq!(f.ttl_checked.sum(), d.ttl_checked.sum());
-        assert_eq!(f.spans_sampled.sum(), d.spans_sampled.sum());
+        let m = stack.metrics();
+        assert_eq!(m.traced.sum(), 4);
+        assert_eq!(m.read_latency.count(), 2);
+        assert_eq!(m.write_latency.count(), 1);
+        assert_eq!(m.control_latency.count(), 1);
+        assert_eq!(m.auth_admitted.sum(), 4);
+        assert_eq!(m.rate_admitted.sum(), 4);
+        // PING is exempt from the deadline check and no TTL traffic.
+        assert_eq!(m.deadline_checked.sum(), 3);
+        assert_eq!(m.ttl_checked.sum(), 3);
+        // The default 1-in-64 sampling covers the first command only.
+        assert_eq!(m.spans_sampled.sum(), 1);
     }
 
     #[test]
     fn call_one_samples_the_same_ticks_as_the_onion() {
-        // sample_every = 3: commands 1, 4, 7 open span scopes (the
-        // fallback), the rest take the fast path; the sampled count
-        // must match the onion exactly.
+        // sample_every = 3: commands 1, 4, 7 open span scopes, the rest
+        // make no span calls.
         let mut config = config();
         config.trace.sample_every = 3;
-        let stack = Stack::build(&config);
-        let mut fused = stack
-            .fused_service(&session(), MapStore::new())
-            .expect("full stack fuses");
+        let (mut fused, stack) = chain(&config);
         for _ in 0..7 {
             fused.call_one(Request::new(Command::Get("k".into())));
         }
@@ -423,11 +672,8 @@ mod tests {
         config.auth.anon_role = Role::ReadOnly;
         config.rate.burst = 2;
         config.rate.refill_per_sec = 1; // no refill mid-test
-        config.trace.sample_every = 0; // keep every call on the fast path
-        let stack = Stack::build(&config);
-        let mut fused = stack
-            .fused_service(&session(), MapStore::new())
-            .expect("full stack fuses");
+        config.trace.sample_every = 0; // no span on any call
+        let (mut fused, _) = chain(&config);
         match fused
             .call_one(Request::new(Command::Set("k".into(), "v".into())))
             .reply
@@ -435,9 +681,9 @@ mod tests {
             Reply::Error(e) => assert!(e.starts_with("AUTH "), "got {e:?}"),
             other => panic!("expected AUTH rejection, got {other:?}"),
         }
-        // The denied write still consumed a token (exactly like the
-        // onion, where rate-limit sits below auth — denied commands
-        // never reach it). Two reads exhaust the bucket...
+        // The denied write consumed no token (rate-limit runs after
+        // auth — denied commands never reach it). Two reads exhaust
+        // the bucket...
         fused.call_one(Request::new(Command::Get("k".into())));
         fused.call_one(Request::new(Command::Get("k".into())));
         match fused.call_one(Request::new(Command::Get("k".into()))).reply {
@@ -450,10 +696,7 @@ mod tests {
     fn call_one_respects_armed_ttl_timers() {
         let mut config = config();
         config.trace.sample_every = 0;
-        let stack = Stack::build(&config);
-        let mut fused = stack
-            .fused_service(&session(), MapStore::new())
-            .expect("full stack fuses");
+        let (mut fused, stack) = chain(&config);
         fused.call_one(Request::new(Command::Set("k".into(), "v".into())));
         assert_eq!(
             fused
@@ -465,7 +708,7 @@ mod tests {
         assert_eq!(
             fused.call_one(Request::new(Command::Get("k".into()))).reply,
             Reply::Nil,
-            "lapsed timer observed on the fast path"
+            "lapsed timer observed by call_one"
         );
         assert_eq!(stack.metrics().ttl_expired.sum(), 1);
     }
@@ -490,10 +733,7 @@ mod tests {
         config.deadline.write_us = 1_000;
         config.breaker.failures = 1;
         config.breaker.cooldown_ms = 60_000; // stays open for the test
-        let stack = Stack::build(&config);
-        let mut fused = stack
-            .fused_service(&session(), SlowStore)
-            .expect("full stack fuses");
+        let (mut fused, stack) = chain_over(&config, SlowStore);
         match fused.call_one(Request::new(Command::Get("k".into()))).reply {
             Reply::Error(e) => assert!(e.starts_with("DEADLINE "), "got {e:?}"),
             other => panic!("expected deadline overrun, got {other:?}"),
@@ -537,11 +777,8 @@ mod tests {
         let mut config = config();
         config.trace.sample_every = 0;
         config.shed.queue_depth = 1_024;
-        let stack = Stack::build(&config);
-        assert!(stack.shed_set_probe(std::sync::Arc::new(StressedProbe)));
-        let mut fused = stack
-            .fused_service(&session(), MapStore::new())
-            .expect("full stack fuses");
+        let (mut fused, stack) = chain(&config);
+        assert!(stack.shed_set_probe(Arc::new(StressedProbe)));
         match fused
             .call_one(Request::new(Command::Set("k".into(), "v".into())))
             .reply
@@ -552,7 +789,7 @@ mod tests {
             other => panic!("expected shed rejection, got {other:?}"),
         }
         // Reads pass untouched; the shed rejection was rate-charged
-        // and auth-admitted exactly like the onion.
+        // and auth-admitted (both run before shed).
         assert_eq!(
             fused.call_one(Request::new(Command::Get("k".into()))).reply,
             Reply::Nil
@@ -566,7 +803,7 @@ mod tests {
     #[test]
     fn empty_stack_chain_answers_like_its_inner_service() {
         let (mut chain, stack) = chain(&MiddlewareConfig::none());
-        let mut bare = MapStore::new();
+        let mut bare = MapStore::default();
         let before = stack.metrics().render_lines(0);
         let script: Vec<Command> = vec![
             Command::Set("a".into(), "1".into()),
@@ -605,10 +842,7 @@ mod tests {
     fn call_one_skips_spans_on_unsampled_ticks() {
         let mut config = config();
         config.trace.sample_every = 0;
-        let stack = Stack::build(&config);
-        let mut fused = stack
-            .fused_service(&session(), MapStore::new())
-            .expect("full stack fuses");
+        let (mut fused, stack) = chain(&config);
         for _ in 0..5 {
             fused.call_one(Request::new(Command::Ping));
         }

@@ -1,36 +1,35 @@
-//! # dego-middleware — a composable request-interceptor pipeline
+//! # dego-middleware — a request-admission pipeline
 //!
 //! The paper adjusts shared objects so a middleware's hot paths scale;
-//! this crate *is* the middleware: a chain of layer [`Service`]s over
-//! the wire protocol's [`protocol::Command`] /
-//! [`protocol::Reply`], composed by a [`Stack`] in front of the
-//! `dego-server` storage plane. Every layer's shared state is built
-//! from the adjusted-object catalogue, so the pipeline itself is a
-//! contention workload for the paper's data structures:
+//! this crate *is* the middleware: one admission pass over the wire
+//! protocol's [`protocol::Command`] / [`protocol::Reply`], run by a
+//! per-session driver ([`FusedService`]) that a [`Stack`] builds in
+//! front of the `dego-server` storage plane. Every layer's shared state
+//! is built from the adjusted-object catalogue, so the pipeline itself
+//! is a contention workload for the paper's data structures:
 //!
 //! | Layer | Concern | Shared state |
 //! |---|---|---|
-//! | [`TraceLayer`] | latency histograms + per-layer counters in `STATS` | relaxed-atomic histograms, `LongAdder`s |
-//! | [`BreakerLayer`] | per-class circuit breaker (closed/open/half-open) | lock-free per-class atomics |
-//! | [`DeadlineLayer`] | per-class execution budgets | none (config only) |
-//! | [`AuthLayer`] | `AUTH` tokens + role ACLs | SWMR hash map, RCU-published policy |
-//! | [`RateLimitLayer`] | per-client token buckets | `SegmentedHashMap` of atomic buckets, `LongAdder` refill counters |
-//! | [`ShedLayer`] | shard-pressure load shedding for writes | injected [`PressureProbe`] over live shard telemetry |
-//! | [`TtlLayer`] | `EXPIRE` timers, lazy expiry on `GET` | `SegmentedHashMap` expiry sidecar, reaps lock-serialized against rewrites |
+//! | [`trace`] | latency histograms + per-layer counters in `STATS` | relaxed-atomic histograms, `LongAdder`s |
+//! | [`breaker`] | per-class circuit breaker (closed/open/half-open) | lock-free per-class atomics |
+//! | [`deadline`] | per-class execution budgets | none (config only) |
+//! | [`auth`] | `AUTH` tokens + role ACLs | SWMR hash map, RCU-published policy |
+//! | [`rate_limit`] | per-client token buckets | `SegmentedHashMap` of atomic buckets, `LongAdder` refill counters |
+//! | [`shed`] | shard-pressure load shedding for writes | injected [`PressureProbe`] over live shard telemetry |
+//! | [`ttl`] | `EXPIRE` timers, lazy expiry on `GET` | `SegmentedHashMap` expiry sidecar, reaps lock-serialized against rewrites |
 //!
-//! Composition is canonical regardless of configuration order:
+//! The phases run in canonical order regardless of configuration
+//! order, and a layer the config leaves out is a phase the driver
+//! skips:
 //!
 //! ```text
 //! client → trace → breaker → deadline → auth → rate-limit → shed → ttl → store
 //! ```
 //!
-//! One dispatch plane builds that chain: every stack, partial or
-//! full, monomorphizes into one concrete [`FusedService`] (direct
-//! calls between layers) in which the layers the config leaves out
-//! forward untouched. With all seven on, singletons take an inline
-//! batch-1 fast path ([`fused::FusedService::call_one`]) whose replies
-//! and metrics are byte-identical to the layered `call` — the
-//! `call_one_matches_layered_call` proptest pins it.
+//! A burst ([`Service::call_batch`]) pays each phase once; a singleton
+//! ([`FusedService::call_one`]) applies the same phase functions to one
+//! request. The `call_one_matches_sequential_model` proptest pins both
+//! against a small sequential model.
 //!
 //! Rejections are structured (`-ERR RATELIMIT …`, `-ERR AUTH …`,
 //! `-ERR DEADLINE …`, `-ERR SHED …`, `-ERR BREAKER …`); see the
@@ -78,10 +77,10 @@ pub mod span;
 pub mod trace;
 pub mod ttl;
 
-pub use auth::{AuthConfig, AuthLayer, Principal, Role, TokenSpec};
-pub use breaker::{BreakerConfig, BreakerLayer};
+pub use auth::{AuthConfig, Principal, Role, TokenSpec};
+pub use breaker::BreakerConfig;
 pub use config::{MiddlewareConfig, TraceConfig};
-pub use deadline::{DeadlineConfig, DeadlineLayer};
+pub use deadline::DeadlineConfig;
 pub use flight::{FlightRecorder, StoreSegment, TraceTree};
 pub use fused::FusedService;
 pub use metrics::{
@@ -89,8 +88,6 @@ pub use metrics::{
 };
 pub use pipeline::{LayerKind, Request, Response, Service, Session, Stack, LAYER_COUNT};
 pub use prom::PromText;
-pub use rate_limit::{RateLimitConfig, RateLimitLayer};
-pub use shed::{PressureProbe, ShardPressure, ShedConfig, ShedLayer};
+pub use rate_limit::RateLimitConfig;
+pub use shed::{PressureProbe, ShardPressure, ShedConfig};
 pub use slowlog::{SlowLog, SlowLogEntry};
-pub use trace::TraceLayer;
-pub use ttl::TtlLayer;

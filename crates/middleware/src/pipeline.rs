@@ -1,40 +1,42 @@
-//! The interceptor pipeline: one typed chain of layer services over
-//! protocol [`Request`]s and [`Response`]s.
+//! The admission pipeline's vocabulary — [`Request`], [`Response`],
+//! the [`Service`] trait, [`Session`], the seven [`LayerKind`]s — and
+//! the [`Stack`] that owns the layers' shared state.
 //!
-//! A [`Service`] is one synchronous request handler; each layer's
-//! service wraps an inner one. A [`Stack`] owns the *shared* state of
-//! all seven layers (token buckets, ACL tables, histograms, TTL
-//! sidecar), records which of them are on, and stamps out one
-//! per-connection chain per session — per-session state (the
-//! authenticated principal, the session's token bucket) lives in the
-//! chain, shared state behind `Arc`s in the stack. An off layer stays
-//! in the chain's type but forwards every call to its inner service
-//! untouched.
+//! A [`Service`] is one synchronous request handler: the store executor
+//! at the bottom, and the per-session admission driver
+//! ([`FusedService`]) in front of it. A [`Stack`] owns the *shared*
+//! state of all seven layers (token buckets, ACL tables, histograms,
+//! TTL sidecar), records which of them are on, and stamps out one
+//! driver per session — per-session state (the authenticated
+//! principal, the session's token bucket, the sampling phase) lives in
+//! the driver, shared state behind one `Arc` in the stack. A layer that
+//! is off is simply a phase the driver skips.
 //!
-//! Layer order is canonical regardless of configuration order:
+//! The phases run in canonical order regardless of configuration
+//! order:
 //!
 //! ```text
 //! client → trace → breaker → deadline → auth → rate-limit → shed → ttl → store
 //! ```
 //!
 //! so tracing observes every rejection, the circuit breaker sits
-//! outside the deadline layer whose `DEADLINE` overruns trip it,
-//! deadlines cover the layers below them, authentication gates
+//! outside the deadline check whose `DEADLINE` overruns trip it,
+//! deadlines cover the phases after them, authentication gates
 //! rate-limit accounting, load shedding consults shard pressure only
-//! for writes that survived admission (and sits above TTL so the TTL
-//! layer's synthesized reap deletes are never shed), and the TTL
+//! for writes that survived admission (and runs before TTL so the TTL
+//! phase's synthesized reap deletes are never shed), and the TTL
 //! rewriter sits immediately in front of the store.
 
-use crate::auth::AuthLayer;
-use crate::breaker::BreakerLayer;
+use crate::auth::AuthState;
+use crate::breaker::BreakerState;
 use crate::config::MiddlewareConfig;
-use crate::deadline::DeadlineLayer;
+use crate::deadline::DeadlineConfig;
+use crate::fused::FusedService;
 use crate::metrics::PipelineMetrics;
 use crate::protocol::{Command, Reply};
-use crate::rate_limit::RateLimitLayer;
-use crate::shed::{PressureProbe, ShedLayer};
-use crate::trace::TraceLayer;
-use crate::ttl::TtlLayer;
+use crate::rate_limit::RateLimitState;
+use crate::shed::{PressureProbe, ShedState};
+use crate::ttl::TtlState;
 use std::sync::Arc;
 
 /// A parsed request travelling down the pipeline.
@@ -80,7 +82,7 @@ impl Response {
 }
 
 /// One synchronous request handler (the innermost one executes against
-/// the store; every other one is a layer's wrapper).
+/// the store; the admission driver in front of it is the other).
 pub trait Service {
     /// Handle one request.
     fn call(&mut self, req: Request) -> Response;
@@ -88,61 +90,19 @@ pub trait Service {
     /// Handle a pipelined burst of requests, returning one response per
     /// request **in request order**.
     ///
-    /// The default forwards each request through [`Service::call`], so
-    /// third-party layers keep working unchanged; the seven production
-    /// layers override it to pay their per-request costs once per burst
-    /// (one clock read and histogram sample in trace, one breaker
-    /// admission sweep, one deadline check, one auth lookup, one bulk
-    /// token-bucket take, one pressure read per shard in shed, one TTL
-    /// sweep) — and the innermost store executor overrides it to
-    /// group-acknowledge a whole burst of mutations per shard.
+    /// The default forwards each request through [`Service::call`]. The
+    /// admission driver overrides it to run each admission phase once
+    /// per burst (see [`crate::fused`]), and the store executor
+    /// overrides it to group-acknowledge a whole burst of mutations per
+    /// shard.
     ///
     /// Contract: `call_batch(reqs)` must produce the same responses, in
     /// the same order, as calling `call` on each request sequentially
-    /// (timing-dependent layers — deadline, rate-limit refill — are
+    /// (timing-dependent phases — deadline, rate-limit refill — are
     /// exempt only in how they meter time, never in ordering).
     fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
         reqs.into_iter().map(|req| self.call(req)).collect()
     }
-}
-
-/// Drive a burst through `inner` with per-request admission control:
-/// requests `admit` rejects are answered in place, the rest travel
-/// downstream as **one** inner batch, and the replies are zipped back
-/// around the rejections in request order. The shared partial path of
-/// the auth and rate-limit layers' `call_batch` — one implementation
-/// of the ordering invariant instead of two drifting copies.
-pub(crate) fn partition_batch<S: Service>(
-    inner: &mut S,
-    reqs: Vec<Request>,
-    mut admit: impl FnMut(&Request) -> Option<Response>,
-) -> Vec<Response> {
-    let mut slots: Vec<Option<Response>> = Vec::with_capacity(reqs.len());
-    let mut admitted: Vec<Request> = Vec::with_capacity(reqs.len());
-    for req in reqs {
-        match admit(&req) {
-            Some(rejection) => slots.push(Some(rejection)),
-            None => {
-                slots.push(None);
-                admitted.push(req);
-            }
-        }
-    }
-    let mut inner_resps = if admitted.is_empty() {
-        Vec::new()
-    } else {
-        inner.call_batch(admitted)
-    }
-    .into_iter();
-    slots
-        .into_iter()
-        .map(|slot| match slot {
-            Some(rejection) => rejection,
-            None => inner_resps
-                .next()
-                .expect("one inner response per admitted request"),
-        })
-        .collect()
 }
 
 /// Per-connection identity the layers key their session state on.
@@ -195,15 +155,7 @@ impl LayerKind {
     /// This layer's slot in per-layer metric arrays (canonical order).
     #[inline]
     pub fn index(self) -> usize {
-        match self {
-            LayerKind::Trace => 0,
-            LayerKind::Breaker => 1,
-            LayerKind::Deadline => 2,
-            LayerKind::Auth => 3,
-            LayerKind::RateLimit => 4,
-            LayerKind::Shed => 5,
-            LayerKind::Ttl => 6,
-        }
+        self as usize
     }
 
     /// The lowercase config/display name.
@@ -235,24 +187,23 @@ impl LayerKind {
     }
 }
 
-/// The configured pipeline: shared layer state + the per-connection
-/// chain factory.
-///
-/// All seven production layers are built once, whatever the config,
-/// and each records whether it is on. [`Stack::fused_service`] stamps
-/// out the one concrete
-/// `Trace<Breaker<Deadline<Auth<RateLimit<Shed<Ttl<S>>>>>>>` chain —
-/// direct calls between layers, zero virtual calls — for every stack;
-/// off layers in it are passthroughs.
+/// The configured pipeline: every layer's shared state, built once
+/// whatever the config, plus which layers are on.
+/// [`Stack::fused_service`] stamps out one session's admission driver,
+/// which holds the stack by one `Arc` and runs the phases of the layers
+/// that are on.
 pub struct Stack {
-    trace: TraceLayer,
-    breaker: BreakerLayer,
-    deadline: DeadlineLayer,
-    auth: AuthLayer,
-    rate: RateLimitLayer,
-    shed: ShedLayer,
-    ttl: TtlLayer,
-    metrics: Arc<PipelineMetrics>,
+    /// Whether each layer is on, by [`LayerKind::index`].
+    on: [bool; LAYER_COUNT],
+    /// Span-sampling period (0 disables sampling).
+    pub(crate) sample_every: u32,
+    pub(crate) breaker: BreakerState,
+    pub(crate) deadline: DeadlineConfig,
+    pub(crate) auth: AuthState,
+    pub(crate) rate: RateLimitState,
+    pub(crate) shed: ShedState,
+    pub(crate) ttl: TtlState,
+    pub(crate) metrics: Arc<PipelineMetrics>,
 }
 
 impl std::fmt::Debug for Stack {
@@ -271,52 +222,34 @@ impl Stack {
     /// irrelevant; duplicates collapse.
     pub fn build(config: &MiddlewareConfig) -> Arc<Stack> {
         let metrics = Arc::new(PipelineMetrics::with_trace(&config.trace));
-        let on = |kind: LayerKind| config.layers.contains(&kind);
-        let depth = LayerKind::ALL.iter().filter(|&&k| on(k)).count();
-        let mut stack = Stack {
-            trace: TraceLayer::new(Arc::clone(&metrics), depth, config.trace.sample_every),
-            breaker: BreakerLayer::new(config.breaker.clone(), Arc::clone(&metrics)),
-            deadline: DeadlineLayer::new(config.deadline.clone(), Arc::clone(&metrics)),
-            auth: AuthLayer::new(&config.auth, Arc::clone(&metrics)),
-            rate: RateLimitLayer::new(config.rate.clone(), Arc::clone(&metrics)),
-            shed: ShedLayer::new(config.shed.clone(), Arc::clone(&metrics)),
-            ttl: TtlLayer::new(Arc::clone(&metrics)),
+        let on = LayerKind::ALL.map(|k| config.layers.contains(&k));
+        Arc::new(Stack {
+            on,
+            sample_every: config.trace.sample_every,
+            breaker: BreakerState::new(config.breaker.clone(), Arc::clone(&metrics)),
+            deadline: config.deadline.clone(),
+            auth: AuthState::new(&config.auth, Arc::clone(&metrics)),
+            rate: RateLimitState::new(config.rate.clone(), Arc::clone(&metrics)),
+            shed: ShedState::new(config.shed.clone(), Arc::clone(&metrics)),
+            ttl: TtlState::new(Arc::clone(&metrics)),
             metrics,
-        };
-        stack.trace.on = on(LayerKind::Trace);
-        stack.breaker.on = on(LayerKind::Breaker);
-        stack.deadline.on = on(LayerKind::Deadline);
-        stack.auth.on = on(LayerKind::Auth);
-        stack.rate.on = on(LayerKind::RateLimit);
-        stack.shed.on = on(LayerKind::Shed);
-        stack.ttl.on = on(LayerKind::Ttl);
-        Arc::new(stack)
+        })
     }
 
-    /// Whether `kind` is on in this stack.
-    fn is_on(&self, kind: LayerKind) -> bool {
-        match kind {
-            LayerKind::Trace => self.trace.on,
-            LayerKind::Breaker => self.breaker.on,
-            LayerKind::Deadline => self.deadline.on,
-            LayerKind::Auth => self.auth.on,
-            LayerKind::RateLimit => self.rate.on,
-            LayerKind::Shed => self.shed.on,
-            LayerKind::Ttl => self.ttl.on,
-        }
+    /// Whether `kind` is on.
+    #[inline]
+    pub(crate) fn on(&self, kind: LayerKind) -> bool {
+        self.on[kind.index()]
     }
 
     /// The layers that are on, in canonical outer→inner order.
     pub fn kinds(&self) -> Vec<LayerKind> {
-        LayerKind::ALL
-            .into_iter()
-            .filter(|&k| self.is_on(k))
-            .collect()
+        LayerKind::ALL.into_iter().filter(|&k| self.on(k)).collect()
     }
 
     /// Number of layers that are on.
     pub fn depth(&self) -> usize {
-        self.kinds().len()
+        self.on.iter().filter(|&&on| on).count()
     }
 
     /// The shared per-layer counters and histograms.
@@ -324,57 +257,50 @@ impl Stack {
         &self.metrics
     }
 
-    /// Build one session's chain around `inner`: the seven canonical
-    /// layers composed as a single concrete type, so every inter-layer
-    /// call is a direct (inlinable) call, and batch-1 traffic can take
-    /// [`crate::fused::FusedService::call_one`]. Off layers forward
-    /// untouched. Always returns `Some`: every stack, partial or full,
-    /// runs on this chain (the `Option` is kept for source
-    /// compatibility).
+    /// Build one session's admission driver around `inner`. Always
+    /// returns `Some`: every stack, partial or full, runs on the one
+    /// driver (the `Option` is kept for source compatibility).
     pub fn fused_service<S: Service>(
-        &self,
+        self: &Arc<Self>,
         session: &Session,
         inner: S,
-    ) -> Option<crate::fused::FusedService<S>> {
-        let chain = self.ttl.wrap(session, inner);
-        let chain = self.shed.wrap(session, chain);
-        let chain = self.rate.wrap(session, chain);
-        let chain = self.auth.wrap(session, chain);
-        let chain = self.deadline.wrap(session, chain);
-        let chain = self.breaker.wrap(session, chain);
-        Some(self.trace.wrap(session, chain))
+    ) -> Option<FusedService<S>> {
+        Some(FusedService::new(Arc::clone(self), session, inner))
     }
 
-    /// Seat the live shard-pressure probe the shed layer consults (the
+    /// Seat the live shard-pressure probe the shed phase consults (the
     /// storage plane does not exist yet when the stack is built, so the
     /// embedding injects it here once the store is up). Returns `false`
     /// when the shed layer is not configured.
     pub fn shed_set_probe(&self, probe: Arc<dyn PressureProbe>) -> bool {
-        if self.shed.on {
-            self.shed.state.set_probe(probe);
+        let on = self.on(LayerKind::Shed);
+        if on {
+            self.shed.set_probe(probe);
         }
-        self.shed.on
+        on
     }
 
     /// Add (or replace) an auth token at runtime. Returns `false` when
     /// the auth layer is not configured.
     pub fn auth_set_token(&self, name: &str, token: &str, role: crate::auth::Role) -> bool {
-        if self.auth.on {
-            self.auth.state.set_token(name, token, role);
+        let on = self.on(LayerKind::Auth);
+        if on {
+            self.auth.set_token(name, token, role);
             self.metrics.auth_reloads.increment();
         }
-        self.auth.on
+        on
     }
 
     /// RCU-publish a new anonymous-session role (a policy reload: every
     /// connection observes it on its next request). Returns `false`
     /// when the auth layer is not configured.
     pub fn auth_set_anon_role(&self, role: crate::auth::Role) -> bool {
-        if self.auth.on {
-            self.auth.state.publish_anon_role(role);
+        let on = self.on(LayerKind::Auth);
+        if on {
+            self.auth.publish_anon_role(role);
             self.metrics.auth_reloads.increment();
         }
-        self.auth.on
+        on
     }
 }
 
@@ -395,7 +321,7 @@ mod tests {
         }
     }
 
-    fn chain(stack: &Stack) -> crate::fused::FusedService<Echo> {
+    fn chain(stack: &Arc<Stack>) -> FusedService<Echo> {
         stack
             .fused_service(&session(), Echo)
             .expect("every stack builds the typed chain")
@@ -425,8 +351,7 @@ mod tests {
         let stack = Stack::build(&config);
         assert_eq!(stack.kinds(), vec![LayerKind::Trace, LayerKind::Ttl]);
         let mut svc = chain(&stack);
-        // A partial stack skips the inline fast path: the on layers
-        // count the command, the off ones never see it.
+        // The on layers count the command, the off ones never see it.
         let resp = svc.call_one(Request::new(Command::Get("k".into())));
         assert_eq!(resp.reply, Reply::Value("GET".into()));
         let m = stack.metrics();

@@ -8,9 +8,16 @@
 //! handle, taken once per *new* client to insert its bucket (the
 //! SWMR discipline: many readers, one mutex-serialized writer).
 //! Aggregate admission/rejection/refill counts are `LongAdder`s.
+//!
+//! A burst takes its tokens in bulk (`RateLimitState::admit_n`): one
+//! refill and one `fetch_sub` admit the first `k` chargeable commands,
+//! the rest are rejected in place. `QUIT` is never charged (a throttled
+//! client must still hang up cleanly), nor are the `HEALTH`/`READY`
+//! probes (an orchestrator must see liveness even through a throttled
+//! connection).
 
 use crate::metrics::PipelineMetrics;
-use crate::pipeline::{LayerKind, Request, Response, Service, Session};
+use crate::pipeline::Response;
 use crate::protocol::Command;
 use dego_core::{SegmentationKind, SegmentedHashMap, SegmentedHashMapWriter};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -55,13 +62,34 @@ pub(crate) struct RateLimitState {
     metrics: Arc<PipelineMetrics>,
 }
 
+/// Commands never charged a token: `QUIT`, `HEALTH`, `READY`.
+#[inline]
+pub(crate) fn exempt(cmd: &Command) -> bool {
+    matches!(cmd, Command::Quit | Command::Health | Command::Ready)
+}
+
 impl RateLimitState {
+    /// Build the state with its shared bucket map.
+    pub(crate) fn new(config: RateLimitConfig, metrics: Arc<PipelineMetrics>) -> Self {
+        // A single segment: all inserts go through the one
+        // mutex-serialized writer; reads are lock-free from any thread.
+        let buckets = SegmentedHashMap::new(1, 1024, SegmentationKind::Hash);
+        let writer = Mutex::new(buckets.writer());
+        RateLimitState {
+            config,
+            epoch: Instant::now(),
+            buckets,
+            writer,
+            metrics,
+        }
+    }
+
     fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
 
     /// The bucket for `client`, inserting a full one on first sight.
-    fn bucket_for(&self, client: &str) -> Arc<Bucket> {
+    pub(crate) fn bucket_for(&self, client: &str) -> Arc<Bucket> {
         let key = client.to_string();
         if let Some(b) = self.buckets.get(&key) {
             return b;
@@ -107,27 +135,13 @@ impl RateLimitState {
         }
     }
 
-    /// Try to take one token; `false` means rejected.
-    pub(crate) fn admit(&self, bucket: &Bucket) -> bool {
-        self.refill(bucket);
-        if bucket.tokens.fetch_sub(1, Ordering::AcqRel) > 0 {
-            self.metrics.rate_admitted.increment();
-            true
-        } else {
-            bucket.tokens.fetch_add(1, Ordering::AcqRel);
-            self.metrics.rate_rejected.increment();
-            false
-        }
-    }
-
-    /// Bulk admission: take up to `n` tokens in **one** refill and one
-    /// `fetch_sub`, returning how many were granted. Matches `n`
-    /// sequential [`Self::admit`] calls: with `t` tokens on hand,
-    /// `min(t, n)` commands are admitted and the rest rejected (the
-    /// sequential path would refill between takes, but a burst is
-    /// sub-millisecond — the next burst's refill recovers the
+    /// Take up to `n` tokens in **one** refill and one `fetch_sub`,
+    /// returning how many were granted. Matches `n` single takes: with
+    /// `t` tokens on hand, `min(t, n)` commands are admitted and the
+    /// rest rejected (single takes would refill in between, but a burst
+    /// is sub-millisecond — the next burst's refill recovers the
     /// difference).
-    fn admit_n(&self, bucket: &Bucket, n: u64) -> u64 {
+    pub(crate) fn admit_n(&self, bucket: &Bucket, n: u64) -> u64 {
         if n == 0 {
             return 0;
         }
@@ -135,208 +149,94 @@ impl RateLimitState {
         let take = n.min(i64::MAX as u64) as i64;
         let prev = bucket.tokens.fetch_sub(take, Ordering::AcqRel);
         let admitted = prev.clamp(0, take);
+        // A `LongAdder` add is a full CAS even for zero: skip empty ones.
+        if admitted > 0 {
+            self.metrics.rate_admitted.add(admitted);
+        }
         if admitted < take {
             // Return the tokens the rejected remainder did not earn.
             bucket.tokens.fetch_add(take - admitted, Ordering::AcqRel);
+            self.metrics.rate_rejected.add(take - admitted);
         }
-        self.metrics.rate_admitted.add(admitted);
-        self.metrics.rate_rejected.add(take - admitted);
         admitted as u64
     }
 
-    /// Micros until one token refills (the `retry_us` hint).
-    pub(crate) fn retry_us(&self) -> u64 {
-        1_000_000 / self.config.refill_per_sec.max(1)
+    /// The structured rejection, with the micros until one token
+    /// refills as the `retry_us` hint.
+    pub(crate) fn rejection(&self) -> Response {
+        Response::rejection(
+            "RATELIMIT",
+            format_args!(
+                "rejected retry_us={}",
+                1_000_000 / self.config.refill_per_sec.max(1)
+            ),
+        )
     }
-}
 
-/// The rate-limit layer: the shared bucket map plus the per-session
-/// factory.
-pub struct RateLimitLayer {
-    state: Arc<RateLimitState>,
-    /// Whether the stack runs this layer (off: a passthrough).
-    pub(crate) on: bool,
-}
-
-impl RateLimitLayer {
-    /// Build the layer with its shared bucket map.
-    pub fn new(config: RateLimitConfig, metrics: Arc<PipelineMetrics>) -> Self {
-        // A single segment: all inserts go through the one
-        // mutex-serialized writer; reads are lock-free from any thread.
-        let buckets = SegmentedHashMap::new(1, 1024, SegmentationKind::Hash);
-        let writer = Mutex::new(buckets.writer());
-        RateLimitLayer {
-            state: Arc::new(RateLimitState {
-                config,
-                epoch: Instant::now(),
-                buckets,
-                writer,
-                metrics,
-            }),
-            on: true,
+    /// Reclaim `client`'s bucket when its last session ends — without
+    /// this, peer-keyed buckets accumulate one entry per connection
+    /// ever made. Strong-count 2 = the map and the ending session; the
+    /// re-check happens under the insert lock, so a session being
+    /// built concurrently keeps the entry alive. (A reader that fetched
+    /// the `Arc` in the razor-thin window between the re-check and the
+    /// remove keeps a working bucket; the next session for that client
+    /// simply starts a fresh one.)
+    pub(crate) fn release(&self, client: &str, bucket: &Arc<Bucket>) {
+        if Arc::strong_count(bucket) > 2 {
+            return;
         }
-    }
-
-    /// Wrap `inner` in this layer's per-session service. An off layer
-    /// takes no bucket from the shared map.
-    pub fn wrap<S: Service>(&self, session: &Session, inner: S) -> RateLimitService<S> {
-        RateLimitService {
-            state: Arc::clone(&self.state),
-            bucket: self.on.then(|| self.state.bucket_for(&session.client)),
-            client: session.client.clone(),
-            inner,
+        let mut writer = self.writer.lock().expect("rate-limit writer");
+        if Arc::strong_count(bucket) == 2 {
+            writer.remove(&client.to_string());
         }
     }
 
     /// How many client buckets the shared map holds.
     #[cfg(test)]
     pub(crate) fn bucket_count(&self) -> usize {
-        self.state.buckets.len()
-    }
-}
-
-/// The rate-limit layer's per-session service, generic over the inner
-/// service it wraps.
-pub struct RateLimitService<S> {
-    pub(crate) state: Arc<RateLimitState>,
-    /// The session's token bucket; `None` exactly when the layer is
-    /// off, which makes the service a passthrough.
-    pub(crate) bucket: Option<Arc<Bucket>>,
-    client: String,
-    pub(crate) inner: S,
-}
-
-impl<S> Drop for RateLimitService<S> {
-    /// Reclaim the client's bucket when its last session ends —
-    /// without this, peer-keyed buckets accumulate one entry per
-    /// connection ever made. Strong-count 2 = the map and us; the
-    /// re-check happens under the insert lock, so a session being
-    /// wrapped concurrently keeps the entry alive. (A reader that
-    /// fetched the `Arc` in the razor-thin window between the re-check
-    /// and the remove keeps a working bucket; the next session for
-    /// that client simply starts a fresh one.)
-    fn drop(&mut self) {
-        let Some(bucket) = &self.bucket else {
-            return;
-        };
-        if Arc::strong_count(bucket) > 2 {
-            return;
-        }
-        let mut writer = self.state.writer.lock().expect("rate-limit writer");
-        if Arc::strong_count(bucket) == 2 {
-            writer.remove(&self.client);
-        }
-    }
-}
-
-impl<S: Service> Service for RateLimitService<S> {
-    /// Batch path: `token_bucket.take(n)` instead of `n` takes — one
-    /// refill and one `fetch_sub` admit the first `k` chargeable
-    /// commands of the burst; the rest are rejected in place. `QUIT`
-    /// is never charged (a throttled client must still hang up
-    /// cleanly), nor are the `HEALTH`/`READY` probes (an orchestrator
-    /// must see liveness even through a throttled connection), and
-    /// order is preserved: admitted commands travel downstream as one
-    /// inner batch and are zipped back around the rejections.
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        let Some(bucket) = &self.bucket else {
-            return self.inner.call_batch(reqs);
-        };
-        let admission_t = crate::span::start();
-        let chargeable = reqs
-            .iter()
-            .filter(|r| !matches!(r.command, Command::Quit | Command::Health | Command::Ready))
-            .count() as u64;
-        let granted = self.state.admit_n(bucket, chargeable);
-        crate::span::record(LayerKind::RateLimit, admission_t);
-        // Fast path: the whole burst fit the bucket — no slot
-        // bookkeeping.
-        if granted == chargeable {
-            return self.inner.call_batch(reqs);
-        }
-        let retry_us = self.state.retry_us();
-        let mut spent = 0u64;
-        crate::pipeline::partition_batch(&mut self.inner, reqs, |req| {
-            if matches!(
-                req.command,
-                Command::Quit | Command::Health | Command::Ready
-            ) {
-                None
-            } else if spent < granted {
-                spent += 1;
-                None
-            } else {
-                Some(Response::rejection(
-                    "RATELIMIT",
-                    format_args!("rejected retry_us={retry_us}"),
-                ))
-            }
-        })
-    }
-
-    fn call(&mut self, req: Request) -> Response {
-        let Some(bucket) = &self.bucket else {
-            return self.inner.call(req);
-        };
-        // QUIT always goes through (a throttled client must still be
-        // able to hang up cleanly), and so do the HEALTH/READY probes
-        // (liveness must stay visible under throttling).
-        if matches!(
-            req.command,
-            Command::Quit | Command::Health | Command::Ready
-        ) {
-            return self.inner.call(req);
-        }
-        let admission_t = crate::span::start();
-        let admitted = self.state.admit(bucket);
-        crate::span::record(LayerKind::RateLimit, admission_t);
-        if admitted {
-            self.inner.call(req)
-        } else {
-            Response::rejection(
-                "RATELIMIT",
-                format_args!("rejected retry_us={}", self.state.retry_us()),
-            )
-        }
+        self.buckets.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MiddlewareConfig;
+    use crate::fused::tests::{one_layer, Ok200};
+    use crate::fused::FusedService;
+    use crate::pipeline::{LayerKind, Request, Service, Session, Stack};
     use crate::protocol::Reply;
 
-    struct Ok200;
-    impl Service for Ok200 {
-        fn call(&mut self, _req: Request) -> Response {
-            Response::ok(Reply::Status("OK"))
-        }
+    /// A rate-limit-only stack, plus its metrics; sessions come from
+    /// [`open`].
+    fn limited(burst: u64, refill_per_sec: u64) -> (Arc<Stack>, Arc<PipelineMetrics>) {
+        let rate = RateLimitConfig {
+            burst,
+            refill_per_sec,
+        };
+        let config = MiddlewareConfig {
+            rate,
+            ..MiddlewareConfig::none()
+        };
+        let (_, stack) = one_layer(LayerKind::RateLimit, config, Ok200);
+        let metrics = Arc::clone(stack.metrics());
+        (stack, metrics)
     }
 
-    fn limited(burst: u64, refill: u64) -> (RateLimitLayer, Arc<PipelineMetrics>) {
-        let metrics = Arc::new(PipelineMetrics::new());
-        (
-            RateLimitLayer::new(
-                RateLimitConfig {
-                    burst,
-                    refill_per_sec: refill,
-                },
-                Arc::clone(&metrics),
-            ),
-            metrics,
-        )
-    }
-
-    fn session(name: &str) -> Session {
-        Session {
-            client: name.into(),
-        }
+    /// A session for `client` on `stack`.
+    fn open(stack: &Arc<Stack>, client: &str) -> FusedService<Ok200> {
+        let session = Session {
+            client: client.into(),
+        };
+        stack
+            .fused_service(&session, Ok200)
+            .expect("every stack builds the typed chain")
     }
 
     #[test]
     fn burst_admits_then_rejects_with_structured_error() {
         let (layer, metrics) = limited(3, 1); // 1 token/s: no refill mid-test
-        let mut svc = layer.wrap(&session("a"), Ok200);
+        let mut svc = open(&layer, "a");
         for _ in 0..3 {
             assert_eq!(
                 svc.call(Request::new(Command::Ping)).reply,
@@ -358,8 +258,8 @@ mod tests {
     #[test]
     fn buckets_are_per_client() {
         let (layer, _) = limited(2, 1);
-        let mut a = layer.wrap(&session("a"), Ok200);
-        let mut b = layer.wrap(&session("b"), Ok200);
+        let mut a = open(&layer, "a");
+        let mut b = open(&layer, "b");
         for _ in 0..2 {
             assert!(matches!(
                 a.call(Request::new(Command::Ping)).reply,
@@ -380,7 +280,7 @@ mod tests {
     #[test]
     fn quit_bypasses_an_exhausted_bucket() {
         let (layer, _) = limited(1, 1);
-        let mut svc = layer.wrap(&session("a"), Ok200);
+        let mut svc = open(&layer, "a");
         svc.call(Request::new(Command::Ping));
         assert!(matches!(
             svc.call(Request::new(Command::Quit)).reply,
@@ -391,7 +291,7 @@ mod tests {
     #[test]
     fn batch_takes_tokens_in_bulk_and_rejects_the_tail() {
         let (layer, metrics) = limited(3, 1); // no refill mid-test
-        let mut svc = layer.wrap(&session("a"), Ok200);
+        let mut svc = open(&layer, "a");
         let burst: Vec<Request> = (0..5)
             .map(|i| Request::new(Command::Get(format!("k{i}"))))
             .collect();
@@ -417,7 +317,7 @@ mod tests {
     #[test]
     fn batch_never_charges_quit() {
         let (layer, _) = limited(1, 1);
-        let mut svc = layer.wrap(&session("a"), Ok200);
+        let mut svc = open(&layer, "a");
         let resps = svc.call_batch(vec![
             Request::new(Command::Ping), // takes the only token
             Request::new(Command::Ping), // rejected
@@ -431,7 +331,7 @@ mod tests {
     #[test]
     fn tokens_refill_over_time() {
         let (layer, metrics) = limited(1, 1_000_000); // 1 token/µs
-        let mut svc = layer.wrap(&session("a"), Ok200);
+        let mut svc = open(&layer, "a");
         svc.call(Request::new(Command::Ping));
         std::thread::sleep(std::time::Duration::from_millis(5));
         assert!(matches!(
@@ -444,21 +344,21 @@ mod tests {
     #[test]
     fn buckets_are_reclaimed_when_the_last_session_ends() {
         let (layer, _) = limited(2, 1);
-        let a = layer.wrap(&session("a"), Ok200);
-        let _b = layer.wrap(&session("b"), Ok200);
-        let a2 = layer.wrap(&session("a"), Ok200);
-        assert_eq!(layer.state.buckets.len(), 2);
+        let a = open(&layer, "a");
+        let _b = open(&layer, "b");
+        let a2 = open(&layer, "a");
+        assert_eq!(layer.rate.bucket_count(), 2);
         drop(a);
-        assert_eq!(layer.state.buckets.len(), 2, "a still has a session");
+        assert_eq!(layer.rate.bucket_count(), 2, "a still has a session");
         drop(a2);
-        assert_eq!(layer.state.buckets.len(), 1, "a's bucket reclaimed");
+        assert_eq!(layer.rate.bucket_count(), 1, "a's bucket reclaimed");
     }
 
     #[test]
     fn same_client_shares_one_bucket_across_connections() {
         let (layer, _) = limited(2, 1);
-        let mut c1 = layer.wrap(&session("shared"), Ok200);
-        let mut c2 = layer.wrap(&session("shared"), Ok200);
+        let mut c1 = open(&layer, "shared");
+        let mut c2 = open(&layer, "shared");
         assert!(matches!(
             c1.call(Request::new(Command::Ping)).reply,
             Reply::Status(_)

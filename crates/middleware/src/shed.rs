@@ -13,21 +13,25 @@
 //!
 //! Only `Write`-class verbs shed: reads are served from the lock-free
 //! plane without queueing, control verbs must stay answerable under
-//! load, and the TTL layer's synthesized reap deletes originate
-//! *below* this layer, so expiry still makes progress while the shard
+//! load, and the TTL phase's synthesized reap deletes originate
+//! *after* this phase, so expiry still makes progress while the shard
 //! drains.
+//!
+//! A burst reads pressure once per *shard* and reuses the verdict for
+//! every write targeting it (`ShedState::admit`) — the
+//! amortized metering exemption the batch contract allows (pressure is
+//! a clock, not state the burst itself mutates).
 //!
 //! The probe is injected after the stack is built (the store does not
 //! exist yet when layers are constructed): [`Stack::shed_set_probe`]
 //! seats it in a `OnceLock`. Unseated or unconfigured (both thresholds
-//! zero — the default), the layer is a pure passthrough.
+//! zero — the default), the phase is a pure passthrough.
 //!
 //! [`Stack::shed_set_probe`]: crate::pipeline::Stack::shed_set_probe
 
 use crate::metrics::PipelineMetrics;
-use crate::pipeline::{partition_batch, LayerKind, Request, Response, Service, Session};
+use crate::pipeline::Response;
 use crate::protocol::{Command, CommandClass};
-use crate::span;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -113,16 +117,27 @@ impl ShedState {
         }
     }
 
-    /// Admit or shed one command — `None` means admitted.
-    #[inline]
-    pub(crate) fn admit(&self, cmd: &Command) -> Option<Response> {
+    /// Admit or shed one command — `None` means admitted. In a burst,
+    /// `verdicts` caches the one pressure reading per shard; every shed
+    /// reply is still counted.
+    pub(crate) fn admit(
+        &self,
+        cmd: &Command,
+        verdicts: Option<&mut HashMap<usize, Option<Response>>>,
+    ) -> Option<Response> {
         let probe = self.active()?;
         if cmd.class() != CommandClass::Write {
             return None;
         }
         let shard = probe.shard_of(cmd)?;
         self.metrics.shed_checked.increment();
-        let verdict = self.verdict(shard, probe.pressure_of(shard));
+        let verdict = match verdicts {
+            Some(cache) => cache
+                .entry(shard)
+                .or_insert_with(|| self.verdict(shard, probe.pressure_of(shard)))
+                .clone(),
+            None => self.verdict(shard, probe.pressure_of(shard)),
+        };
         if verdict.is_some() {
             self.metrics.shed_shed.increment();
         }
@@ -130,9 +145,9 @@ impl ShedState {
     }
 
     /// Compare one pressure reading against the thresholds. Metrics
-    /// are counted per *response* at the call sites, not here — the
-    /// batch path caches one verdict per shard but still counts every
-    /// shed reply.
+    /// are counted per *response* by the caller, not here — the burst
+    /// path caches one verdict per shard but still counts every shed
+    /// reply.
     fn verdict(&self, shard: usize, p: ShardPressure) -> Option<Response> {
         if self.config.queue_depth > 0 && p.queue_depth >= self.config.queue_depth {
             return Some(Response::rejection(
@@ -156,93 +171,14 @@ impl ShedState {
     }
 }
 
-/// The load-shedding layer: thresholds and the seated probe plus the
-/// per-session factory.
-pub struct ShedLayer {
-    pub(crate) state: Arc<ShedState>,
-    /// Whether the stack runs this layer (off: a passthrough).
-    pub(crate) on: bool,
-}
-
-impl ShedLayer {
-    /// Build the layer.
-    pub fn new(config: ShedConfig, metrics: Arc<PipelineMetrics>) -> Self {
-        ShedLayer {
-            state: Arc::new(ShedState::new(config, metrics)),
-            on: true,
-        }
-    }
-
-    /// Wrap `inner` in this layer's per-session service.
-    pub fn wrap<S: Service>(&self, _session: &Session, inner: S) -> ShedService<S> {
-        ShedService {
-            state: Arc::clone(&self.state),
-            on: self.on,
-            inner,
-        }
-    }
-}
-
-/// The shed layer's per-session service, generic over the inner
-/// service it wraps.
-pub struct ShedService<S> {
-    pub(crate) state: Arc<ShedState>,
-    pub(crate) on: bool,
-    pub(crate) inner: S,
-}
-
-impl<S: Service> Service for ShedService<S> {
-    fn call(&mut self, req: Request) -> Response {
-        if !self.on {
-            return self.inner.call(req);
-        }
-        let admission_t = span::start();
-        let verdict = self.state.admit(&req.command);
-        span::record(LayerKind::Shed, admission_t);
-        match verdict {
-            Some(rejection) => rejection,
-            None => self.inner.call(req),
-        }
-    }
-
-    /// Batch path: pressure is read once per *shard* per burst and the
-    /// verdict reused for every write targeting it — the amortized
-    /// metering exemption the contract allows (pressure is a clock,
-    /// not state the burst itself mutates). Ordering and reply bytes
-    /// are unchanged.
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        if !self.on {
-            return self.inner.call_batch(reqs);
-        }
-        let admission_t = span::start();
-        let state = &self.state;
-        let Some(probe) = state.active() else {
-            span::record(LayerKind::Shed, admission_t);
-            return self.inner.call_batch(reqs);
-        };
-        let mut verdicts: HashMap<usize, Option<Response>> = HashMap::new();
-        span::record(LayerKind::Shed, admission_t);
-        partition_batch(&mut self.inner, reqs, |req| {
-            if req.command.class() != CommandClass::Write {
-                return None;
-            }
-            let shard = probe.shard_of(&req.command)?;
-            state.metrics.shed_checked.increment();
-            let verdict = verdicts
-                .entry(shard)
-                .or_insert_with(|| state.verdict(shard, probe.pressure_of(shard)))
-                .clone();
-            if verdict.is_some() {
-                state.metrics.shed_shed.increment();
-            }
-            verdict
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MiddlewareConfig;
+    use crate::fused::tests::{one_layer, Ok200};
+    use crate::fused::FusedService;
+    use crate::metrics::PipelineMetrics;
+    use crate::pipeline::{LayerKind, Request, Service, Stack};
     use crate::protocol::Reply;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -277,24 +213,21 @@ mod tests {
         }
     }
 
-    struct Always;
-    impl Service for Always {
-        fn call(&mut self, _req: Request) -> Response {
-            Response::ok(Reply::Status("OK"))
-        }
+    /// A shed-only stack over [`Ok200`], with its own probe seated.
+    fn wrap(config: ShedConfig) -> (FusedService<Ok200>, Arc<FakeProbe>, Arc<PipelineMetrics>) {
+        let (svc, stack) = unseated(config);
+        let probe = FakeProbe::calm();
+        assert!(stack.shed_set_probe(probe.clone() as Arc<dyn PressureProbe>));
+        (svc, probe, Arc::clone(stack.metrics()))
     }
 
-    fn wrap(config: ShedConfig) -> (ShedService<Always>, Arc<FakeProbe>, Arc<PipelineMetrics>) {
-        let metrics = Arc::new(PipelineMetrics::new());
-        let layer = ShedLayer::new(config, Arc::clone(&metrics));
-        let probe = FakeProbe::calm();
-        layer
-            .state
-            .set_probe(probe.clone() as Arc<dyn PressureProbe>);
-        let session = Session {
-            client: "t:1".into(),
+    /// A shed-only stack over [`Ok200`] with no probe seated yet.
+    fn unseated(config: ShedConfig) -> (FusedService<Ok200>, Arc<Stack>) {
+        let config = MiddlewareConfig {
+            shed: config,
+            ..MiddlewareConfig::none()
         };
-        (layer.wrap(&session, Always), probe, metrics)
+        one_layer(LayerKind::Shed, config, Ok200)
     }
 
     fn set(key: &str) -> Request {
@@ -369,20 +302,12 @@ mod tests {
 
     #[test]
     fn unseated_probe_is_a_passthrough() {
-        let metrics = Arc::new(PipelineMetrics::new());
-        let layer = ShedLayer::new(
-            ShedConfig {
-                queue_depth: 1,
-                ack_p99_us: 1,
-            },
-            Arc::clone(&metrics),
-        );
-        let session = Session {
-            client: "t:1".into(),
-        };
-        let mut svc = layer.wrap(&session, Always);
+        let (mut svc, stack) = unseated(ShedConfig {
+            queue_depth: 1,
+            ack_p99_us: 1,
+        });
         assert!(matches!(svc.call(set("k")).reply, Reply::Status("OK")));
-        assert_eq!(metrics.shed_checked.sum(), 0);
+        assert_eq!(stack.metrics().shed_checked.sum(), 0);
     }
 
     #[test]

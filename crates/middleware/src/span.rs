@@ -1,21 +1,21 @@
 //! Sampled span scopes: per-layer admission-cost attribution.
 //!
-//! The trace layer (outermost) decides once per command or burst
-//! whether to sample a span ([`enter`]); while a span is active, every
-//! layer brackets its own admission work with [`start`]/[`record`],
+//! The trace phase decides once per command or burst whether to
+//! sample a span ([`enter`]); on a sampled tick the admission driver
+//! brackets each layer's phase with an `Instant` and [`record`]s it,
 //! which accumulates microseconds into a thread-local cost table keyed
-//! by [`LayerKind`]. When the guard is finished the trace layer
+//! by [`LayerKind`]. When the guard is finished the trace phase
 //! harvests the table into the shared per-layer histograms.
 //!
-//! Thread-locals are sound here by construction: a connection's service
-//! chain ([`crate::fused::FusedService`]) is driven entirely on one
-//! thread — a call runs start to finish on the thread that made it,
+//! Thread-locals are sound here by construction: a connection's
+//! admission driver ([`crate::fused::FusedService`]) runs entirely on
+//! one thread — a call runs start to finish on the thread that made it,
 //! and a span is entered and finished inside one call — so an active
-//! span can never be observed from another chain.
+//! span can never be observed from another session.
 //!
-//! The unsampled fast path is one thread-local boolean load per layer
-//! ([`start`] returns `None` and [`record`] is a no-op), which is what
-//! keeps the default 1-in-N sampling overhead negligible.
+//! An unsampled command makes no span calls at all (a `None` segment
+//! is free to [`record`]), which is what keeps the default 1-in-N
+//! sampling overhead negligible.
 
 use crate::flight::StoreSegment;
 use crate::pipeline::{LayerKind, LAYER_COUNT};
@@ -93,17 +93,6 @@ pub fn active() -> bool {
     ACTIVE.with(|a| a.get())
 }
 
-/// The start of one layer segment: `Some(now)` when a span is active
-/// on this thread, `None` (one thread-local load) otherwise.
-#[inline]
-pub fn start() -> Option<Instant> {
-    if active() {
-        Some(Instant::now())
-    } else {
-        None
-    }
-}
-
 /// Deposit a store-side segment received in an ack envelope. A no-op
 /// when no span is active (late acks, unsampled requests).
 #[inline]
@@ -113,8 +102,9 @@ pub fn record_store(seg: StoreSegment) {
     }
 }
 
-/// Close a segment opened by [`start`], charging its elapsed
-/// microseconds to `kind`. A `None` segment (no active span) is free.
+/// Close a segment started at `segment`, charging its elapsed
+/// microseconds to `kind`. A `None` segment (an unsampled command) is
+/// free.
 #[inline]
 pub fn record(kind: LayerKind, segment: Option<Instant>) {
     let Some(started) = segment else { return };
@@ -138,18 +128,17 @@ mod tests {
 
     #[test]
     fn no_span_means_free_segments() {
-        assert!(start().is_none());
+        assert!(!active());
         record(LayerKind::Auth, None); // must not panic or record
     }
 
     #[test]
     fn segments_accumulate_per_layer_and_harvest() {
         let guard = enter();
-        let t = start();
-        assert!(t.is_some(), "span active");
-        record(LayerKind::Auth, t);
-        record(LayerKind::Auth, start()); // second segment, same layer
-        record(LayerKind::Ttl, start());
+        assert!(active(), "span active");
+        record(LayerKind::Auth, Some(Instant::now()));
+        record(LayerKind::Auth, Some(Instant::now())); // second segment, same layer
+        record(LayerKind::Ttl, Some(Instant::now()));
         let harvest = guard.finish();
         assert!(harvest.layer_us[LayerKind::Auth.index()].is_some());
         assert!(harvest.layer_us[LayerKind::Ttl.index()].is_some());
@@ -158,7 +147,7 @@ mod tests {
             None,
             "never touched"
         );
-        assert!(start().is_none(), "span closed after finish");
+        assert!(!active(), "span closed after finish");
     }
 
     #[test]
@@ -184,15 +173,15 @@ mod tests {
     fn dropping_the_guard_deactivates_the_span() {
         {
             let _guard = enter();
-            assert!(start().is_some());
+            assert!(active());
         }
-        assert!(start().is_none());
+        assert!(!active());
     }
 
     #[test]
     fn reentering_resets_stale_costs() {
         let guard = enter();
-        record(LayerKind::Trace, start());
+        record(LayerKind::Trace, Some(Instant::now()));
         drop(guard);
         let guard = enter();
         let harvest = guard.finish();

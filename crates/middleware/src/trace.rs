@@ -1,6 +1,6 @@
-//! Tracing/metrics: the outermost layer.
+//! Tracing/metrics: the outermost admission phase.
 //!
-//! Times every command (whatever layer ultimately answers it) into the
+//! Times every command (whatever phase ultimately answers it) into the
 //! per-class latency histograms, counts it, and — when the command is
 //! `STATS` and the store answered with the usual `name=value` array —
 //! folds the whole pipeline's `mw_*` lines into the reply, so one
@@ -9,8 +9,8 @@
 //! Being outermost also makes it the observability anchor:
 //!
 //! * **Span sampling**: every `sample_every`-th command (or burst) per
-//!   connection opens a [`crate::span`] scope; each layer below charges
-//!   its admission cost to the scope, and the harvest lands in the
+//!   connection opens a [`crate::span`] scope; each admission phase
+//!   charges its cost to the scope, and the harvest lands in the
 //!   per-layer histograms behind `mw_<layer>_us_p50/p99`.
 //! * **Slowlog capture**: commands/bursts whose wall-clock time crosses
 //!   the configured threshold are pushed into the lock-free
@@ -22,20 +22,24 @@
 //!   shard owners stamped into the ack envelopes — and offers it to the
 //!   lock-free [`crate::flight::FlightRecorder`] ring.
 //! * **`SLOWLOG GET|RESET|LEN`** and **`TRACE GET|RESET|LEN`** are
-//!   answered here — they never travel further down the stack, so they
-//!   are immune to deadline/rate/ACL policy and usable for diagnosis
-//!   even mid-overload.
+//!   answered here (`observability_reply`) — they never reach a later
+//!   phase, so they are immune to deadline/rate/ACL policy and usable
+//!   for diagnosis even mid-overload.
 //! * **`STATS RESET`** travels down (the server zeroes its own plane)
 //!   and, on the way back up, zeroes the middleware counters and
 //!   histograms too — after this command's own recording, so the next
 //!   `STATS` starts from a clean slate.
+//!
+//! A burst pays one `Instant::now()` pair and one histogram sample
+//! (into `batch_latency`) instead of one per command — the per-class
+//! histograms only see singleton traffic — and a slow burst enters the
+//! slowlog as one `BATCH` entry.
 
 use crate::metrics::{debug_assert_unique_stat_names, PipelineMetrics};
-use crate::pipeline::{partition_batch, LayerKind, Request, Response, Service, Session};
+use crate::pipeline::Response;
 use crate::protocol::{Command, CommandClass, Reply};
 use crate::span;
 use std::sync::Arc;
-use std::time::Instant;
 
 pub(crate) fn class_name(class: CommandClass) -> &'static str {
     match class {
@@ -47,7 +51,7 @@ pub(crate) fn class_name(class: CommandClass) -> &'static str {
 
 /// Answer a slowlog or flight-recorder verb from its ring, or `None`
 /// for anything else.
-fn observability_reply(metrics: &PipelineMetrics, cmd: &Command) -> Option<Reply> {
+pub(crate) fn observability_reply(metrics: &PipelineMetrics, cmd: &Command) -> Option<Reply> {
     match cmd {
         Command::SlowlogGet => Some(Reply::Array(
             metrics
@@ -79,215 +83,55 @@ fn observability_reply(metrics: &PipelineMetrics, cmd: &Command) -> Option<Reply
     }
 }
 
-/// The trace layer: shared metrics plus the per-session factory.
-pub struct TraceLayer {
-    metrics: Arc<PipelineMetrics>,
-    depth: usize,
-    sample_every: u32,
-    /// Whether the stack runs this layer (off: a passthrough).
-    pub(crate) on: bool,
-}
-
-impl TraceLayer {
-    /// Build the layer; `depth` is the configured stack depth reported
-    /// as `mw_depth`, `sample_every` the span-sampling period (0
-    /// disables sampling, 1 samples everything).
-    pub fn new(metrics: Arc<PipelineMetrics>, depth: usize, sample_every: u32) -> Self {
-        TraceLayer {
-            metrics,
-            depth,
-            sample_every,
-            on: true,
-        }
-    }
-
-    /// Wrap `inner` in this layer's per-session service.
-    pub fn wrap<S: Service>(&self, session: &Session, inner: S) -> TraceService<S> {
-        TraceService {
-            metrics: Arc::clone(&self.metrics),
-            depth: self.depth,
-            client: Arc::from(session.client.as_str()),
-            sample_every: self.sample_every,
-            tick: 0,
-            on: self.on,
-            inner,
-        }
+/// Grow a `STATS` reply by the pipeline's `mw_*` lines (`depth` is the
+/// configured stack depth, reported as `mw_depth`). Anything but an
+/// array reply (a rejection, say) is left alone.
+pub(crate) fn fold_stats(metrics: &PipelineMetrics, depth: usize, resp: &mut Response) {
+    if let Reply::Array(lines) = &mut resp.reply {
+        lines.extend(metrics.render_lines(depth));
+        debug_assert_unique_stat_names(lines);
     }
 }
 
-/// The trace layer's per-session service, generic over the inner
-/// service it wraps.
-pub struct TraceService<S> {
-    pub(crate) metrics: Arc<PipelineMetrics>,
-    depth: usize,
-    pub(crate) client: Arc<str>,
-    pub(crate) sample_every: u32,
-    /// Per-connection sampling phase: 0 means "sample now", so the
-    /// first command of every connection is always covered —
-    /// contention-free and deterministic for tests.
-    pub(crate) tick: u32,
-    pub(crate) on: bool,
-    pub(crate) inner: S,
-}
-
-impl<S: Service> TraceService<S> {
-    fn tick_sample(&mut self) -> bool {
-        if self.sample_every == 0 {
-            return false;
-        }
-        let hit = self.tick == 0;
-        self.tick += 1;
-        if self.tick >= self.sample_every {
-            self.tick = 0;
-        }
-        hit
-    }
-
-    /// Close out one traced command/burst: harvest the span (if any)
-    /// into the per-layer histograms, offer the completed trace tree
-    /// to the flight recorder, and offer the observation to the
-    /// slowlog ring.
-    fn finish(
-        &self,
-        span: Option<span::SpanGuard>,
-        verb: &'static str,
-        class: &'static str,
-        burst: usize,
-        elapsed_us: u64,
-    ) {
-        let costs = span.map(|guard| {
-            let harvest = guard.finish();
-            self.metrics.note_span(&harvest.layer_us);
-            self.metrics.flight.offer(
-                &self.client,
-                verb,
-                class,
-                burst,
-                elapsed_us,
-                harvest.layer_us,
-                harvest.store,
-            );
-            harvest.layer_us
-        });
-        self.metrics
-            .slowlog
-            .offer(&self.client, verb, class, burst, elapsed_us, costs);
-    }
-}
-
-impl<S: Service> Service for TraceService<S> {
-    /// Batch path: one `Instant::now()` pair and one histogram sample
-    /// for the whole burst (into `batch_latency`), instead of one per
-    /// command — the per-class histograms only see singleton traffic,
-    /// which is what they meter best anyway (a per-batch sample would
-    /// conflate k commands into one latency). `STATS` replies inside
-    /// the burst still grow the `mw_*` lines at their position, and
-    /// slowlog verbs are answered in place without travelling further
-    /// down; a slow burst enters the slowlog as one `BATCH` entry
-    /// (covering the burst end to end, which no position inside it
-    /// could observe anyway).
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        if !self.on {
-            return self.inner.call_batch(reqs);
-        }
-        let n = reqs.len() as u64;
-        let stats_at: Vec<bool> = reqs
-            .iter()
-            .map(|r| matches!(r.command, Command::Stats))
-            .collect();
-        let has_reset = reqs
-            .iter()
-            .any(|r| matches!(r.command, Command::StatsReset));
-        let has_ring_verbs = reqs.iter().any(|r| {
-            matches!(
-                r.command,
-                Command::SlowlogGet
-                    | Command::SlowlogReset
-                    | Command::SlowlogLen
-                    | Command::TraceGet
-                    | Command::TraceReset
-                    | Command::TraceLen
-            )
-        });
-        let span = self.tick_sample().then(span::enter);
-        let start = Instant::now();
-        let mut resps = if has_ring_verbs {
-            let metrics = Arc::clone(&self.metrics);
-            partition_batch(&mut self.inner, reqs, |req| {
-                observability_reply(&metrics, &req.command).map(Response::ok)
-            })
-        } else {
-            self.inner.call_batch(reqs)
-        };
-        let elapsed_us = start.elapsed().as_micros() as u64;
-        let trace_t = span::start();
-        for (resp, is_stats) in resps.iter_mut().zip(stats_at) {
-            if is_stats {
-                if let Reply::Array(lines) = &mut resp.reply {
-                    lines.extend(self.metrics.render_lines(self.depth));
-                    debug_assert_unique_stat_names(lines);
-                }
-            }
-        }
-        self.metrics.traced.add(n);
-        self.metrics.batch_commands.add(n);
-        self.metrics.batches.increment();
-        self.metrics.batch_latency.record(elapsed_us);
-        span::record(LayerKind::Trace, trace_t);
-        self.finish(span, "BATCH", "batch", n as usize, elapsed_us);
-        if has_reset {
-            // Last, so the burst's own recording nets to zero too.
-            self.metrics.reset();
-        }
-        resps
-    }
-
-    fn call(&mut self, req: Request) -> Response {
-        if !self.on {
-            return self.inner.call(req);
-        }
-        if let Some(reply) = observability_reply(&self.metrics, &req.command) {
-            self.metrics.traced.increment();
-            return Response::ok(reply);
-        }
-        let class = req.command.class();
-        let verb = req.command.verb();
-        let is_stats = matches!(req.command, Command::Stats);
-        let is_reset = matches!(req.command, Command::StatsReset);
-        let span = self.tick_sample().then(span::enter);
-        let start = Instant::now();
-        let mut resp = self.inner.call(req);
-        let elapsed_us = start.elapsed().as_micros() as u64;
-        let trace_t = span::start();
-        // Render before recording, so a `STATS` reply reflects the
-        // traffic *before* it, not itself.
-        if is_stats {
-            if let Reply::Array(lines) = &mut resp.reply {
-                lines.extend(self.metrics.render_lines(self.depth));
-                debug_assert_unique_stat_names(lines);
-            }
-        }
-        self.metrics.traced.increment();
-        match class {
-            CommandClass::Read => self.metrics.read_latency.record(elapsed_us),
-            CommandClass::Write => self.metrics.write_latency.record(elapsed_us),
-            CommandClass::Control => self.metrics.control_latency.record(elapsed_us),
-        }
-        span::record(LayerKind::Trace, trace_t);
-        self.finish(span, verb, class_name(class), 1, elapsed_us);
-        if is_reset {
-            // Zero the middleware plane last, after this command's own
-            // recording, so the next STATS starts from a clean slate.
-            self.metrics.reset();
-        }
-        resp
-    }
+/// Close out one traced command/burst: harvest the span (if any) into
+/// the per-layer histograms, offer the completed trace tree to the
+/// flight recorder, and offer the observation to the slowlog ring.
+pub(crate) fn finish(
+    metrics: &PipelineMetrics,
+    client: &Arc<str>,
+    span: Option<span::SpanGuard>,
+    verb: &'static str,
+    class: &'static str,
+    burst: usize,
+    elapsed_us: u64,
+) {
+    let costs = span.map(|guard| {
+        let harvest = guard.finish();
+        metrics.note_span(&harvest.layer_us);
+        metrics.flight.offer(
+            client,
+            verb,
+            class,
+            burst,
+            elapsed_us,
+            harvest.layer_us,
+            harvest.store,
+        );
+        harvest.layer_us
+    });
+    metrics
+        .slowlog
+        .offer(client, verb, class, burst, elapsed_us, costs);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TraceConfig;
+    use crate::config::{MiddlewareConfig, TraceConfig};
+    use crate::fused::tests::one_layer;
+    use crate::fused::FusedService;
+    use crate::pipeline::{LayerKind, Request, Service};
+    use std::sync::Arc;
 
     struct Store;
     impl Service for Store {
@@ -299,20 +143,19 @@ mod tests {
         }
     }
 
-    fn traced_with(config: TraceConfig) -> (TraceService<Store>, Arc<PipelineMetrics>) {
-        let sample_every = config.sample_every;
-        let metrics = Arc::new(PipelineMetrics::with_trace(&config));
-        let layer = TraceLayer::new(Arc::clone(&metrics), 5, sample_every);
-        let session = Session {
-            client: "t:1".into(),
+    /// A trace-only stack over [`Store`], plus its metrics.
+    fn traced_with(trace: TraceConfig) -> (FusedService<Store>, Arc<PipelineMetrics>) {
+        let config = MiddlewareConfig {
+            trace,
+            ..MiddlewareConfig::none()
         };
-        (layer.wrap(&session, Store), metrics)
+        let (svc, stack) = one_layer(LayerKind::Trace, config, Store);
+        (svc, Arc::clone(stack.metrics()))
     }
 
-    fn traced() -> (TraceService<Store>, Arc<PipelineMetrics>) {
+    fn traced() -> (FusedService<Store>, Arc<PipelineMetrics>) {
         traced_with(TraceConfig::default())
     }
-
     #[test]
     fn commands_are_counted_into_class_histograms() {
         let (mut svc, metrics) = traced();
@@ -359,7 +202,7 @@ mod tests {
         match resp.reply {
             Reply::Array(lines) => {
                 assert!(lines.contains(&"shards=2".to_string()), "store lines kept");
-                assert!(lines.contains(&"mw_depth=5".to_string()));
+                assert!(lines.contains(&"mw_depth=1".to_string()));
                 assert!(lines.contains(&"mw_traced=1".to_string()));
             }
             other => panic!("expected array, got {other:?}"),

@@ -1,6 +1,6 @@
 //! TTL/expiry: an expiry sidecar in front of the store.
 //!
-//! The store itself stays TTL-ignorant; this layer keeps a
+//! The store itself stays TTL-ignorant; this phase keeps a
 //! [`SegmentedHashMap`] of `key → expires_at` sidecar entries.
 //! `EXPIRE key millis` arms a timer on an existing key (probing
 //! existence with a downstream `GET`); a `GET` whose sidecar timer has
@@ -21,18 +21,24 @@
 //!
 //! Hot path: one lock-free sidecar lookup per `GET`/`SET`/`DEL`/
 //! `INCR`; keys without timers never touch the mutex, and timed keys
-//! pay it only on mutation or reap (live reads stay lock-free).
+//! pay it only on mutation or reap (live reads stay lock-free). With
+//! no timer armed anywhere (the sidecar empty — by far the common state
+//! under kv load) no key can be timed, so even the lookup is skipped,
+//! and a burst carrying no `EXPIRE` forwards as one inner batch. Any
+//! armed timer (or an `EXPIRE` arming one mid-burst) makes the
+//! admission driver plan the burst one request at a time, whose reap
+//! locking is what makes expiry safe.
 
 use crate::metrics::PipelineMetrics;
-use crate::pipeline::{LayerKind, Request, Response, Service, Session};
+use crate::pipeline::{Request, Response, Service};
 use crate::protocol::{Command, Reply};
 use dego_core::{SegmentationKind, SegmentedHashMap, SegmentedHashMapWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Sidecar entry: when the key's value expires (micros since the layer
-/// epoch).
+/// Sidecar entry: when the key's value expires (micros since the
+/// state's epoch).
 #[derive(Debug)]
 pub(crate) struct TtlEntry {
     expires_at_us: AtomicU64,
@@ -40,14 +46,41 @@ pub(crate) struct TtlEntry {
 
 pub(crate) struct TtlState {
     epoch: Instant,
-    pub(crate) sidecar: Arc<SegmentedHashMap<String, Arc<TtlEntry>>>,
+    sidecar: Arc<SegmentedHashMap<String, Arc<TtlEntry>>>,
     /// Serializes entry insert/remove *and* every cross-plane sequence
     /// (reap `DEL`s, mutations on timed keys) — see the module doc.
     writer: Mutex<SegmentedHashMapWriter<String, Arc<TtlEntry>>>,
-    pub(crate) metrics: Arc<PipelineMetrics>,
+    metrics: Arc<PipelineMetrics>,
+}
+
+type SidecarWriter<'a> = MutexGuard<'a, SegmentedHashMapWriter<String, Arc<TtlEntry>>>;
+
+/// What the TTL phase does with one request, decided on a borrowed
+/// view so the common case forwards `req` without cloning its key.
+pub(crate) enum Plan {
+    /// Untimed: straight to the store.
+    Forward,
+    /// A mutation on a timed key.
+    MutateTimed(String),
+    /// A `GET` whose unlocked probe saw a lapsed timer.
+    GetLapsed(String),
+    /// `EXPIRE key millis`.
+    Expire(String, u64),
 }
 
 impl TtlState {
+    /// Build the state with its shared sidecar map.
+    pub(crate) fn new(metrics: Arc<PipelineMetrics>) -> Self {
+        let sidecar = SegmentedHashMap::new(1, 1024, SegmentationKind::Hash);
+        let writer = Mutex::new(sidecar.writer());
+        TtlState {
+            epoch: Instant::now(),
+            sidecar,
+            writer,
+            metrics,
+        }
+    }
+
     fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
@@ -56,67 +89,84 @@ impl TtlState {
     fn lapsed(&self, entry: &TtlEntry) -> bool {
         self.now_us() >= entry.expires_at_us.load(Ordering::Acquire)
     }
-}
 
-/// The TTL layer: the shared sidecar plus the per-session factory.
-pub struct TtlLayer {
-    state: Arc<TtlState>,
-    /// Whether the stack runs this layer (off: a passthrough).
-    pub(crate) on: bool,
-}
+    /// Whether any timer is armed: then any key may be timed, and a
+    /// burst needs one plan per request.
+    pub(crate) fn armed(&self) -> bool {
+        !self.sidecar.is_empty()
+    }
 
-impl TtlLayer {
-    /// Build the layer with its shared sidecar map.
-    pub fn new(metrics: Arc<PipelineMetrics>) -> Self {
-        let sidecar = SegmentedHashMap::new(1, 1024, SegmentationKind::Hash);
-        let writer = Mutex::new(sidecar.writer());
-        TtlLayer {
-            state: Arc::new(TtlState {
-                epoch: Instant::now(),
-                sidecar,
-                writer,
-                metrics,
-            }),
-            on: true,
+    /// The burst plan with no timer armed and no `EXPIRE`: every
+    /// command forwards, and the kv ones are counted checked in one
+    /// add.
+    pub(crate) fn forward_all<'a>(&self, cmds: impl Iterator<Item = &'a Command>) {
+        let kv = cmds
+            .filter(|c| {
+                matches!(
+                    c,
+                    Command::Get(_) | Command::Set(..) | Command::Del(_) | Command::Incr(..)
+                )
+            })
+            .count() as u64;
+        self.metrics.ttl_checked.add(kv);
+    }
+
+    /// The plan for one request. This sidecar probe is the phase's
+    /// admission cost; the plan's own store work (reaps, the rewrite)
+    /// is real store traffic, run by [`TtlState::run`].
+    #[inline]
+    pub(crate) fn plan(&self, cmd: &Command) -> Plan {
+        match cmd {
+            Command::Expire(key, millis) => {
+                self.metrics.ttl_checked.increment();
+                Plan::Expire(key.clone(), *millis)
+            }
+            Command::Get(key)
+            | Command::Set(key, _)
+            | Command::Del(key)
+            | Command::Incr(key, _) => {
+                self.metrics.ttl_checked.increment();
+                // No timer armed anywhere: no key can be timed.
+                let Some(entry) = self.armed().then(|| self.sidecar.get(key)).flatten() else {
+                    return Plan::Forward;
+                };
+                match cmd {
+                    // Live timers read lock-free; only a lapsed one
+                    // takes the slow path.
+                    Command::Get(_) if self.lapsed(&entry) => Plan::GetLapsed(key.clone()),
+                    Command::Get(_) => Plan::Forward,
+                    _ => Plan::MutateTimed(key.clone()),
+                }
+            }
+            _ => Plan::Forward,
         }
     }
 
-    /// Wrap `inner` in this layer's per-session service.
-    pub fn wrap<S: Service>(&self, _session: &Session, inner: S) -> TtlService<S> {
-        TtlService {
-            state: Arc::clone(&self.state),
-            on: self.on,
-            inner,
+    /// Carry out `plan` for `req` against `inner` (the store).
+    pub(crate) fn run<S: Service>(&self, plan: Plan, req: Request, inner: &mut S) -> Response {
+        match plan {
+            Plan::Forward => inner.call(req),
+            Plan::MutateTimed(key) => self.mutate_timed(inner, req, key),
+            Plan::GetLapsed(key) => self.get_lapsed(inner, req, key),
+            Plan::Expire(key, millis) => self.expire(inner, key, millis),
         }
     }
-}
 
-/// The TTL layer's per-session service, generic over the inner service
-/// it wraps (the innermost layer: `S` is usually the store executor).
-pub struct TtlService<S> {
-    pub(crate) state: Arc<TtlState>,
-    pub(crate) on: bool,
-    pub(crate) inner: S,
-}
-
-type SidecarWriter<'a> = MutexGuard<'a, SegmentedHashMapWriter<String, Arc<TtlEntry>>>;
-
-impl<S: Service> TtlService<S> {
     /// With the lock held: if `key`'s entry is (still) lapsed, reap it
     /// — `DEL` the stale row downstream and drop the entry. Returns
     /// whether a reap happened. The lock stays held across the `DEL`,
     /// which is what makes expiry safe against concurrent rewrites.
-    fn reap_if_lapsed(
+    fn reap_if_lapsed<S: Service>(
+        &self,
         inner: &mut S,
-        state: &TtlState,
         writer: &mut SidecarWriter<'_>,
         key: &String,
     ) -> bool {
-        match state.sidecar.get(key) {
-            Some(entry) if state.lapsed(&entry) => {
+        match self.sidecar.get(key) {
+            Some(entry) if self.lapsed(&entry) => {
                 let _ = inner.call(Request::new(Command::Del(key.clone())));
                 writer.remove(key);
-                state.metrics.ttl_expired.increment();
+                self.metrics.ttl_expired.increment();
                 true
             }
             _ => false,
@@ -124,25 +174,18 @@ impl<S: Service> TtlService<S> {
     }
 
     /// `EXPIRE key millis`: probe the key and arm (or re-arm) a timer.
-    fn expire(&mut self, key: String, millis: u64) -> Response {
-        let mut writer = self.state.writer.lock().expect("ttl writer");
+    fn expire<S: Service>(&self, inner: &mut S, key: String, millis: u64) -> Response {
+        let mut writer = self.writer.lock().expect("ttl writer");
         // A lapsed timer means the value is gone: reap it and report
         // "no such key" instead of resurrecting it.
-        if Self::reap_if_lapsed(&mut self.inner, &self.state, &mut writer, &key) {
+        if self.reap_if_lapsed(inner, &mut writer, &key) {
             return Response::ok(Reply::Int(0));
         }
-        match self
-            .inner
-            .call(Request::new(Command::Get(key.clone())))
-            .reply
-        {
+        match inner.call(Request::new(Command::Get(key.clone()))).reply {
             Reply::Nil => Response::ok(Reply::Int(0)),
             Reply::Value(_) => {
-                let deadline = self
-                    .state
-                    .now_us()
-                    .saturating_add(millis.saturating_mul(1_000));
-                if let Some(entry) = self.state.sidecar.get(&key) {
+                let deadline = self.now_us().saturating_add(millis.saturating_mul(1_000));
+                if let Some(entry) = self.sidecar.get(&key) {
                     entry.expires_at_us.store(deadline, Ordering::Release);
                 } else {
                     writer.put(
@@ -152,7 +195,7 @@ impl<S: Service> TtlService<S> {
                         }),
                     );
                 }
-                self.state.metrics.ttl_armed.increment();
+                self.metrics.ttl_armed.increment();
                 Response::ok(Reply::Int(1))
             }
             // Propagate downstream failures (e.g. the store refused).
@@ -166,10 +209,10 @@ impl<S: Service> TtlService<S> {
     /// rewrite the value; `INCR` keeps its — now reaped-or-live — row
     /// fresh, Redis-style it would keep the TTL, but after a rewrite
     /// through this path the timer is gone either way).
-    fn mutate_timed(&mut self, req: Request, key: String) -> Response {
-        let mut writer = self.state.writer.lock().expect("ttl writer");
-        Self::reap_if_lapsed(&mut self.inner, &self.state, &mut writer, &key);
-        let resp = self.inner.call(req);
+    fn mutate_timed<S: Service>(&self, inner: &mut S, req: Request, key: String) -> Response {
+        let mut writer = self.writer.lock().expect("ttl writer");
+        self.reap_if_lapsed(inner, &mut writer, &key);
+        let resp = inner.call(req);
         if !matches!(resp.reply, Reply::Error(_)) {
             // The rewrite clears any remaining timer (and its entry).
             writer.remove(&key);
@@ -179,154 +222,36 @@ impl<S: Service> TtlService<S> {
 
     /// A `GET` on a key whose unlocked probe saw a lapsed timer:
     /// re-check under the lock, reap, answer nil.
-    fn get_lapsed(&mut self, req: Request, key: String) -> Response {
-        let mut writer = self.state.writer.lock().expect("ttl writer");
-        if Self::reap_if_lapsed(&mut self.inner, &self.state, &mut writer, &key) {
+    fn get_lapsed<S: Service>(&self, inner: &mut S, req: Request, key: String) -> Response {
+        let mut writer = self.writer.lock().expect("ttl writer");
+        if self.reap_if_lapsed(inner, &mut writer, &key) {
             return Response::ok(Reply::Nil);
         }
         // Lost the race to a rewrite: the key is live again.
         drop(writer);
-        self.inner.call(req)
-    }
-}
-
-impl<S: Service> Service for TtlService<S> {
-    /// Batch path: **one** sidecar sweep for the whole burst. When no
-    /// timer is armed anywhere (`sidecar` empty — by far the common
-    /// state under kv load) and the burst carries no `EXPIRE`, no key
-    /// can be timed, so the per-command sidecar probes are skipped and
-    /// the burst forwards as one inner batch. Any armed timer (or an
-    /// `EXPIRE` arming one mid-burst) drops to the sequential path,
-    /// whose reap locking is what makes expiry safe.
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        if !self.on {
-            return self.inner.call_batch(reqs);
-        }
-        let admission_t = crate::span::start();
-        let arming = reqs
-            .iter()
-            .any(|r| matches!(r.command, Command::Expire(..)));
-        if !arming && self.state.sidecar.is_empty() {
-            let kv = reqs
-                .iter()
-                .filter(|r| {
-                    matches!(
-                        r.command,
-                        Command::Get(_) | Command::Set(..) | Command::Del(_) | Command::Incr(..)
-                    )
-                })
-                .count() as u64;
-            self.state.metrics.ttl_checked.add(kv);
-            crate::span::record(LayerKind::Ttl, admission_t);
-            return self.inner.call_batch(reqs);
-        }
-        crate::span::record(LayerKind::Ttl, admission_t);
-        reqs.into_iter().map(|req| self.call(req)).collect()
-    }
-
-    fn call(&mut self, req: Request) -> Response {
-        if !self.on {
-            return self.inner.call(req);
-        }
-        let admission_t = crate::span::start();
-        // Decide on a borrowed view first so the fast paths forward
-        // `req` without cloning its key.
-        enum Plan {
-            Forward,
-            MutateTimed(String),
-            GetLapsed(String),
-            Expire(String, u64),
-        }
-        let plan = match &req.command {
-            Command::Expire(key, millis) => {
-                self.state.metrics.ttl_checked.increment();
-                Plan::Expire(key.clone(), *millis)
-            }
-            Command::Get(key) => {
-                self.state.metrics.ttl_checked.increment();
-                match self.state.sidecar.get(key) {
-                    // Live timers read lock-free; only a lapsed one
-                    // takes the slow path.
-                    Some(entry) if self.state.lapsed(&entry) => Plan::GetLapsed(key.clone()),
-                    _ => Plan::Forward,
-                }
-            }
-            Command::Set(key, _) | Command::Del(key) | Command::Incr(key, _) => {
-                self.state.metrics.ttl_checked.increment();
-                match self.state.sidecar.get(key) {
-                    Some(_) => Plan::MutateTimed(key.clone()),
-                    None => Plan::Forward,
-                }
-            }
-            _ => Plan::Forward,
-        };
-        // The sidecar probe is this layer's admission cost; the plan's
-        // own downstream work (reaps, the rewrite) is real store
-        // traffic, not admission overhead.
-        crate::span::record(LayerKind::Ttl, admission_t);
-        match plan {
-            Plan::Forward => self.inner.call(req),
-            Plan::MutateTimed(key) => self.mutate_timed(req, key),
-            Plan::GetLapsed(key) => self.get_lapsed(req, key),
-            Plan::Expire(key, millis) => self.expire(key, millis),
-        }
+        inner.call(req)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use crate::config::MiddlewareConfig;
+    use crate::fused::tests::{one_layer, MapStore};
+    use crate::fused::FusedService;
+    use crate::pipeline::LayerKind;
     use std::time::Duration;
 
-    /// A tiny in-memory store standing in for the shard plane.
-    struct MapStore {
-        map: HashMap<String, String>,
+    fn ttl_over_store() -> (FusedService<MapStore>, Arc<PipelineMetrics>) {
+        let (svc, stack) = one_layer(
+            LayerKind::Ttl,
+            MiddlewareConfig::none(),
+            MapStore::default(),
+        );
+        (svc, Arc::clone(stack.metrics()))
     }
 
-    impl Service for MapStore {
-        fn call(&mut self, req: Request) -> Response {
-            match req.command {
-                Command::Get(k) => Response::ok(match self.map.get(&k) {
-                    Some(v) => Reply::Value(v.clone()),
-                    None => Reply::Nil,
-                }),
-                Command::Set(k, v) => {
-                    self.map.insert(k, v);
-                    Response::ok(Reply::Status("OK"))
-                }
-                Command::Del(k) => {
-                    self.map.remove(&k);
-                    Response::ok(Reply::Status("OK"))
-                }
-                Command::Incr(k, d) => {
-                    let next = self
-                        .map
-                        .get(&k)
-                        .and_then(|v| v.parse::<i64>().ok())
-                        .unwrap_or(0)
-                        + d;
-                    self.map.insert(k, next.to_string());
-                    Response::ok(Reply::Int(next))
-                }
-                _ => Response::ok(Reply::Error("unsupported".into())),
-            }
-        }
-    }
-
-    fn ttl_over_store() -> (TtlService<MapStore>, Arc<PipelineMetrics>) {
-        let metrics = Arc::new(PipelineMetrics::new());
-        let layer = TtlLayer::new(Arc::clone(&metrics));
-        let session = Session {
-            client: "t:1".into(),
-        };
-        let store = MapStore {
-            map: HashMap::new(),
-        };
-        (layer.wrap(&session, store), metrics)
-    }
-
-    fn call(svc: &mut TtlService<MapStore>, cmd: Command) -> Reply {
+    fn call(svc: &mut FusedService<MapStore>, cmd: Command) -> Reply {
         svc.call(Request::new(cmd)).reply
     }
 

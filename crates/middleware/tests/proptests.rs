@@ -3,10 +3,11 @@
 //! encoder and the parser are exact inverses, and malformed input is
 //! rejected rather than misparsed — plus the batch-path law: a
 //! pipelined burst through `call_batch` answers byte-identically, in
-//! order, to the same commands sent through `call` one at a time —
-//! plus the fast-path law: the typed chain's batch-1 `call_one`
-//! answers byte-identically to the layered `call` of an identically
-//! built chain for any burst, tuning and layer subset —
+//! order, to the same commands sent through `call_one` one at a time —
+//! plus the model law: the admission driver answers byte-identically to
+//! [`Model`], a small sequential reference with no spans, no
+//! amortisation and no fast path, for any burst, tuning, layer subset
+//! and sampling phase —
 //! plus Prometheus exposition invariants: metric names survive
 //! rendering and label values escape losslessly.
 
@@ -72,7 +73,8 @@ fn command() -> impl Strategy<Value = Command> {
 }
 
 /// A tiny deterministic in-memory store standing in for the shard
-/// plane in the batch-equivalence property.
+/// plane in the equivalence properties.
+#[derive(Default)]
 struct MapStore {
     map: HashMap<String, String>,
 }
@@ -108,6 +110,74 @@ impl Service for MapStore {
     }
 }
 
+/// The sequential reference for [`equivalence_config`] stacks: what
+/// each layer that is on does to one command, applied in canonical
+/// order, over its own [`MapStore`]. Under that tuning the trace,
+/// breaker, deadline and shed layers never change a reply (no `STATS`
+/// or ring verbs, a disarmed breaker, huge budgets, no pressure probe)
+/// and no timer lapses, so the model keeps only what does: the session
+/// role and `AUTH` logins, the token count with its
+/// `QUIT`/`HEALTH`/`READY` exemption, and the `EXPIRE` reply.
+struct Model {
+    auth: bool,
+    rate: bool,
+    ttl: bool,
+    role: Role,
+    tokens: u64,
+    store: MapStore,
+}
+
+impl Model {
+    fn new(config: &MiddlewareConfig) -> Model {
+        let on = |kind| config.layers.contains(&kind);
+        Model {
+            auth: on(LayerKind::Auth),
+            rate: on(LayerKind::RateLimit),
+            ttl: on(LayerKind::Ttl),
+            role: config.auth.anon_role,
+            tokens: config.rate.burst,
+            store: MapStore::default(),
+        }
+    }
+
+    fn call(&mut self, cmd: &Command) -> (Reply, bool) {
+        let error = |msg: String| (Reply::Error(msg), false);
+        if self.auth {
+            if let Command::Auth(token) = cmd {
+                if token != "sekrit" {
+                    return error("AUTH bad token".into());
+                }
+                self.role = Role::ReadWrite;
+                return (Reply::Status("OK"), false);
+            }
+            if !self.role.allows(cmd.class()) {
+                let needs = match cmd.class() {
+                    CommandClass::Write => "readwrite",
+                    _ => "readonly",
+                };
+                return error(format!(
+                    "AUTH {} requires {needs}, session role is {}",
+                    cmd.verb(),
+                    self.role.name()
+                ));
+            }
+        }
+        if self.rate && !matches!(cmd, Command::Quit | Command::Health | Command::Ready) {
+            if self.tokens == 0 {
+                // retry_us is one token's refill time at 1 token/s.
+                return error("RATELIMIT rejected retry_us=1000000".into());
+            }
+            self.tokens -= 1;
+        }
+        if let (true, Command::Expire(key, _)) = (self.ttl, cmd) {
+            let live = self.store.map.contains_key(key);
+            return (Reply::Int(live as i64), false);
+        }
+        let resp = self.store.call(Request::new(cmd.clone()));
+        (resp.reply, resp.close)
+    }
+}
+
 /// Commands for the batch-equivalence property: deterministic under
 /// repetition (no `STATS`, whose counters legitimately differ between
 /// the two paths) and timing-stable (`EXPIRE` only with a deadline far
@@ -119,12 +189,12 @@ fn stable_command() -> impl Strategy<Value = Command> {
         key().prop_map(Command::Del),
         (key(), -100i64..100).prop_map(|(k, d)| Command::Incr(k, d)),
         Just(Command::Ping),
-        // HEALTH/READY ride the rate-limit exemption; the equivalence
-        // must hold through the fused fallback and the batch partition.
+        // HEALTH/READY ride the rate-limit exemption, singly and in
+        // bursts.
         Just(Command::Health),
         Just(Command::Ready),
-        // Both a valid and an invalid token: the sequential fallback
-        // the batch path takes for AUTH must role-switch identically.
+        // Both a valid and an invalid token: the sequential split a
+        // burst takes for AUTH must role-switch identically.
         Just(Command::Auth("sekrit".into())),
         Just(Command::Auth("wrong".into())),
         (key(), 600_000u64..1_000_000).prop_map(|(k, ms)| Command::Expire(k, ms)),
@@ -165,17 +235,29 @@ fn equivalence_chain(config: &MiddlewareConfig) -> FusedService<MapStore> {
         client: "prop:1".into(),
     };
     Stack::build(config)
-        .fused_service(
-            &session,
-            MapStore {
-                map: HashMap::new(),
-            },
-        )
+        .fused_service(&session, MapStore::default())
         .expect("every stack builds the typed chain")
 }
 
-/// Layer subsets: any of the 128, with the full stack (the only one
-/// the inline fast path serves) drawn as often as all others together.
+/// `cmds` through `call_one`, one at a time.
+fn singly(chain: &mut FusedService<MapStore>, cmds: &[Command]) -> Vec<(Reply, bool)> {
+    cmds.iter()
+        .map(|c| chain.call_one(Request::new(c.clone())))
+        .map(|resp| (resp.reply, resp.close))
+        .collect()
+}
+
+/// `cmds` through `call_batch`, as one burst.
+fn burst(chain: &mut FusedService<MapStore>, cmds: &[Command]) -> Vec<(Reply, bool)> {
+    chain
+        .call_batch(cmds.iter().cloned().map(Request::new).collect())
+        .into_iter()
+        .map(|resp| (resp.reply, resp.close))
+        .collect()
+}
+
+/// Layer subsets: any of the 128, with the full stack drawn as often
+/// as all others together.
 fn layer_mask() -> impl Strategy<Value = u8> {
     prop_oneof!(Just(0x7fu8), 0u8..0x80)
 }
@@ -315,79 +397,42 @@ proptest! {
 
     /// The batch law: for any burst and any layer subset, `call_batch`
     /// through the chain produces byte-identical replies, in order, to
-    /// the same commands driven through `call` one at a time — across
-    /// every decision the layers can take (ACL denials, bucket
+    /// the same commands driven through `call_one` one at a time —
+    /// across every decision the phases can take (ACL denials, bucket
     /// exhaustion, armed TTL timers, mid-burst logins).
     #[test]
     fn call_batch_matches_sequential_call(
-        burst in 4u64..200,
-        mask in layer_mask(),
-        cmds in proptest::collection::vec(stable_command(), 1..40),
-    ) {
-        let config = equivalence_config(burst, mask);
-        let mut sequential = equivalence_chain(&config);
-        let mut batched = equivalence_chain(&config);
-        let want: Vec<(Reply, bool)> = cmds
-            .iter()
-            .map(|c| {
-                let resp = sequential.call(Request::new(c.clone()));
-                (resp.reply, resp.close)
-            })
-            .collect();
-        let got: Vec<(Reply, bool)> = batched
-            .call_batch(cmds.into_iter().map(Request::new).collect())
-            .into_iter()
-            .map(|resp| (resp.reply, resp.close))
-            .collect();
-        prop_assert_eq!(got, want);
-    }
-
-    /// The fast-path law: for any burst, tuning and layer subset
-    /// (including every span-sampling phase, which toggles the batch-1
-    /// fast path on and off mid-stream), `call_one` answers
-    /// byte-identically to the layered `call` of an identically built
-    /// chain — singletons through each, then the same commands again
-    /// as one `call_batch` burst through both.
-    #[test]
-    fn call_one_matches_layered_call(
-        burst in 4u64..200,
+        burst_size in 4u64..200,
         sample_every in 0u32..5,
         mask in layer_mask(),
         cmds in proptest::collection::vec(stable_command(), 1..40),
     ) {
-        let mut config = equivalence_config(burst, mask);
+        let mut config = equivalence_config(burst_size, mask);
         config.trace.sample_every = sample_every;
-        let mut fast = equivalence_chain(&config);
-        let mut layered = equivalence_chain(&config);
-        let want: Vec<(Reply, bool)> = cmds
-            .iter()
-            .map(|c| {
-                let resp = layered.call(Request::new(c.clone()));
-                (resp.reply, resp.close)
-            })
-            .collect();
-        let got: Vec<(Reply, bool)> = cmds
-            .iter()
-            .map(|c| {
-                let resp = fast.call_one(Request::new(c.clone()));
-                (resp.reply, resp.close)
-            })
-            .collect();
-        prop_assert_eq!(got, want, "singleton stream");
+        let want = singly(&mut equivalence_chain(&config), &cmds);
+        let got = burst(&mut equivalence_chain(&config), &cmds);
+        prop_assert_eq!(got, want);
+    }
 
-        // Both chains advanced through identical state; the same burst
-        // again through each batch path must agree too.
-        let want: Vec<(Reply, bool)> = layered
-            .call_batch(cmds.iter().cloned().map(Request::new).collect())
-            .into_iter()
-            .map(|resp| (resp.reply, resp.close))
-            .collect();
-        let got: Vec<(Reply, bool)> = fast
-            .call_batch(cmds.into_iter().map(Request::new).collect())
-            .into_iter()
-            .map(|resp| (resp.reply, resp.close))
-            .collect();
-        prop_assert_eq!(got, want, "batched burst");
+    /// The model law: for any burst, tuning, layer subset and
+    /// span-sampling phase, `call_one` answers byte-identically to the
+    /// sequential [`Model`] — singletons first, then the same commands
+    /// again as one `call_batch` burst against the advanced model.
+    #[test]
+    fn call_one_matches_sequential_model(
+        burst_size in 4u64..200,
+        sample_every in 0u32..5,
+        mask in layer_mask(),
+        cmds in proptest::collection::vec(stable_command(), 1..40),
+    ) {
+        let mut config = equivalence_config(burst_size, mask);
+        config.trace.sample_every = sample_every;
+        let mut chain = equivalence_chain(&config);
+        let mut model = Model::new(&config);
+        let want: Vec<(Reply, bool)> = cmds.iter().map(|c| model.call(c)).collect();
+        prop_assert_eq!(singly(&mut chain, &cmds), want, "singleton stream");
+        let want: Vec<(Reply, bool)> = cmds.iter().map(|c| model.call(c)).collect();
+        prop_assert_eq!(burst(&mut chain, &cmds), want, "batched burst");
     }
 
     /// Escaping is lossless: unescape ∘ escape = identity, and the

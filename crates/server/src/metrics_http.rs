@@ -162,7 +162,7 @@ fn render_trace_json(stack: &Stack) -> String {
 /// the middleware pipeline (`dego_mw_*`) including the sampled
 /// per-layer admission-cost histograms.
 fn render_exposition(store: &Store, stats: &ServerStats, stack: &Stack, ready: bool) -> String {
-    let snap = stats.snapshot();
+    let snap = stats.snapshot(store.applied_since_reset());
     let mut prom = PromText::new();
 
     prom.gauge(

@@ -11,8 +11,8 @@
 //! middleware chain and are byte-identical on the wire.
 //!
 //! A connection parses request lines and drives them through
-//! its session's middleware [`Stack`] chain (trace → breaker →
-//! deadline → auth → rate-limit → shed → ttl, whichever are
+//! its session's middleware [`Stack`] admission driver (trace →
+//! breaker → deadline → auth → rate-limit → shed → ttl, whichever are
 //! configured); the innermost service
 //! executes against the store, splitting two ways: **reads** (`GET`,
 //! `TIMELINE`, `ISFOLLOWING`, …) are served inline from the lock-free
@@ -26,8 +26,8 @@
 //! Pipelining is **batched end to end** (unless
 //! [`ServerConfig::batch`] is off): the whole buffered burst is
 //! drained into one `Vec<Request>` and driven through
-//! [`Service::call_batch`], so every layer pays its per-request cost
-//! once per burst; below the stack, the burst's mutations are enqueued
+//! [`Service::call_batch`], so each admission phase runs once per
+//! burst; below the stack, the burst's mutations are enqueued
 //! tagged with sequence numbers, shard owners group-acknowledge each
 //! drained batch, and the replies are reassembled in request order and
 //! written with a single buffered socket write.
@@ -215,11 +215,9 @@ impl ServerHandle {
 
     /// A snapshot of the operation counters.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.stats.snapshot();
-        // The authoritative applied count lives in the storage plane's
-        // per-shard counter (reported since the last `STATS RESET`).
-        snap.applied = self.store.applied_since_reset();
-        snap
+        // The applied count lives in the storage plane's per-shard
+        // counter (reported since the last `STATS RESET`).
+        self.stats.snapshot(self.store.applied_since_reset())
     }
 
     /// Whether the server currently reports itself ready (the `READY`
@@ -520,14 +518,14 @@ impl PressureProbe for StorePressure {
     }
 }
 
-/// The per-connection dispatch chain: the typed seven-layer chain
-/// (off layers forward untouched), boxed so connection state stays
-/// cheap to move.
+/// The per-connection dispatch chain: the session's admission driver
+/// over the store executor, boxed so connection state stays cheap to
+/// move.
 pub(crate) type Chain = Box<FusedService<ExecService>>;
 
 /// Build one connection's dispatch chain around its innermost service
 /// (shared by both connection planes).
-pub(crate) fn build_chain(stack: &Stack, session: &Session, exec: ExecService) -> Chain {
+pub(crate) fn build_chain(stack: &Arc<Stack>, session: &Session, exec: ExecService) -> Chain {
     Box::new(
         stack
             .fused_service(session, exec)
@@ -632,8 +630,8 @@ pub(crate) enum PendingSlot {
 }
 
 /// The contract between an event loop and its connection's innermost
-/// service, threaded through the middleware onion out of band (the
-/// chain is thread-local, so plain `Rc` + interior mutability).
+/// service, threaded past the admission driver out of band (the chain
+/// is thread-local, so plain `Rc` + interior mutability).
 ///
 /// The loop **arms** the cell immediately before a `call_batch`
 /// dispatch; the innermost service consumes the armed flag and — if
@@ -668,8 +666,9 @@ impl DeferCell {
     }
 
     /// Defensive reset after dispatch: a batch that never reached the
-    /// innermost service (e.g. the TTL layer's sequential fallback)
-    /// must not leave the flag armed.
+    /// innermost `call_batch` (every request rejected in admission, or
+    /// the admission driver's sequential split, which sends each
+    /// request through `call`) must not leave the flag armed.
     pub(crate) fn disarm(&self) {
         self.armed.set(false);
     }
@@ -947,8 +946,7 @@ impl ExecService {
                 Reply::Int(self.store.profiles.get(user).unwrap_or(0) as i64)
             }
             Command::Stats => {
-                let mut snap = self.stats.snapshot();
-                snap.applied = self.store.applied_since_reset();
+                let snap = self.stats.snapshot(self.store.applied_since_reset());
                 Reply::Array(snap.render_lines(self.store.shards(), self.store.kv.len()))
             }
             Command::StatsShards => Reply::Array(self.store.render_shard_lines()),

@@ -19,7 +19,6 @@ pub struct ServerStats {
     gets: AtomicU64,
     get_hits: AtomicU64,
     mutations: AtomicU64,
-    applied: AtomicU64,
     timeline_reads: AtomicU64,
     errors: AtomicU64,
     accept_errors: AtomicU64,
@@ -49,7 +48,6 @@ impl ServerStats {
         note_command => commands,
         note_get_miss => gets,
         note_mutation => mutations,
-        note_applied => applied,
         note_timeline_read => timeline_reads,
         note_error => errors,
         note_accept_error => accept_errors,
@@ -74,7 +72,6 @@ impl ServerStats {
         self.gets.store(0, Ordering::Relaxed);
         self.get_hits.store(0, Ordering::Relaxed);
         self.mutations.store(0, Ordering::Relaxed);
-        self.applied.store(0, Ordering::Relaxed);
         self.timeline_reads.store(0, Ordering::Relaxed);
         self.errors.store(0, Ordering::Relaxed);
         self.accept_errors.store(0, Ordering::Relaxed);
@@ -83,15 +80,17 @@ impl ServerStats {
         self.lines_too_long.store(0, Ordering::Relaxed);
     }
 
-    /// Snapshot every counter plus the global contention proxy.
-    pub fn snapshot(&self) -> StatsSnapshot {
+    /// Snapshot every counter plus the global contention proxy;
+    /// `applied` is the storage plane's count (the one counter not kept
+    /// here).
+    pub fn snapshot(&self, applied: u64) -> StatsSnapshot {
         StatsSnapshot {
             connections: self.connections.load(Ordering::Relaxed),
             commands: self.commands.load(Ordering::Relaxed),
             gets: self.gets.load(Ordering::Relaxed),
             get_hits: self.get_hits.load(Ordering::Relaxed),
             mutations: self.mutations.load(Ordering::Relaxed),
-            applied: self.applied.load(Ordering::Relaxed),
+            applied,
             timeline_reads: self.timeline_reads.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             accept_errors: self.accept_errors.load(Ordering::Relaxed),
@@ -181,10 +180,9 @@ mod tests {
         s.note_get_hit();
         s.note_get_miss();
         s.note_mutation();
-        s.note_applied();
         s.note_timeline_read();
         s.note_error();
-        let snap = s.snapshot();
+        let snap = s.snapshot(1);
         assert_eq!(snap.connections, 1);
         assert_eq!(snap.commands, 2);
         assert_eq!(snap.gets, 2);
@@ -209,7 +207,7 @@ mod tests {
         s.note_accept_error();
         s.note_shard_batch();
         s.reset();
-        let snap = s.snapshot();
+        let snap = s.snapshot(0);
         assert_eq!(snap.connections, 0);
         assert_eq!(snap.commands, 0);
         assert_eq!(snap.gets, 0);

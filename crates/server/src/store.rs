@@ -502,7 +502,6 @@ fn shard_loop(ctx: ShardCtx, mut inbox: mpsc::Consumer<MutationMsg>, ready: Send
             // not inflate the applied count.
             if !matches!(reply, Reply::Error(_)) {
                 cell.inc();
-                ctx.stats.note_applied();
             }
             let item = AckItem {
                 seq: msg.seq,

@@ -127,7 +127,14 @@ fn batched_replies_match_sequential_full_stack() {
     };
     let batched = boot(true, stack());
     let unbatched = boot(false, stack());
-    let script = random_script(0xbee5, 400);
+    // Logins and far-future timers sprinkled through the script make
+    // bursts take the admission driver's sequential split, over the
+    // event loop's deferring dispatch.
+    let mut script = random_script(0xbee5, 400);
+    for at in (20..script.len()).step_by(37).rev() {
+        script.insert(at, format!("EXPIRE k{} 600000", at % 6));
+        script.insert(at - 9, "AUTH sekrit".to_string());
+    }
     let mut a = Client::connect(batched.local_addr()).expect("connect");
     let mut b = Client::connect(unbatched.local_addr()).expect("connect");
     a.auth("sekrit").expect("login");
