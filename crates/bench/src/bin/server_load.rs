@@ -15,18 +15,16 @@
 //!    is the pipeline's throughput cost (pre-batching it measured
 //!    14.7%, target ≤ 8% now that every layer pays once per burst).
 //! 4. **Group commit**: write-heavy bursts of 32 through the full
-//!    stack, batched vs `batch: false` — the unbatched path pays 32
-//!    middleware walks and 32 shard ack round-trips per burst, the
-//!    batched path one of each, so this is where group
-//!    acknowledgement shows up (`batched_speedup_x`, target ≥ 1.5×).
+//!    stack. `mutations_per_sweep` is the run's applied mutations over
+//!    its shard batches — how many writes one shard sweep
+//!    acknowledges as a group (the ratio wirebench reports as
+//!    `store.mutations_per_sweep`).
 //! 5. **Connection sweep** (full stack, fixed pipeline depth): a
 //!    `connections` probe block tracking throughput across connection
-//!    counts (`DEGO_BENCH_CONNS`, default 4/64/256/1024), each count
-//!    run on **both planes** — the default event loops and
-//!    `thread_per_conn: true` — so the accept/funnel scaling curve is
-//!    an A/B. `conn_scaling_x` is the headline: event-loop throughput
-//!    at 256 connections over 4 connections (target ≥ 0.9 — fan-in
-//!    must not collapse under connection count).
+//!    counts (`DEGO_BENCH_CONNS`, default 4/64/256/1024).
+//!    `conn_scaling_x` is the headline: throughput at 256 connections
+//!    over 4 connections (target ≥ 0.9 — fan-in must not collapse
+//!    under connection count).
 //! 6. **Observability overhead**: the full stack with span sampling
 //!    off vs the default 1-in-64, at burst depth 5 — the cost of the
 //!    per-layer attribution plane (`observability_overhead`, target
@@ -99,14 +97,12 @@ struct Point {
     shards: usize,
     pipeline: usize,
     middleware_depth: usize,
-    batch: bool,
-    /// Which connection plane served the point: `"event_loop"` (the
-    /// default) or `"threaded"` (`thread_per_conn: true`).
-    plane: &'static str,
     mix: Mix,
     elapsed: Duration,
     total_ops: u64,
     applied: u64,
+    /// Batches the shard owners drained (one group ack each).
+    shard_batches: u64,
     get_hits: u64,
     gets: u64,
 }
@@ -114,6 +110,11 @@ struct Point {
 impl Point {
     fn ops_per_sec(&self) -> f64 {
         self.total_ops as f64 / self.elapsed.as_secs_f64().max(1e-9)
+    }
+
+    /// Applied mutations per shard sweep: the group-commit factor.
+    fn mutations_per_sweep(&self) -> f64 {
+        self.applied as f64 / self.shard_batches.max(1) as f64
     }
 }
 
@@ -201,16 +202,12 @@ fn run_point(
     pipeline: usize,
     window: Duration,
     middleware: MiddlewareConfig,
-    batch: bool,
-    thread_per_conn: bool,
     mix: Mix,
 ) -> Point {
     let server = spawn(ServerConfig {
         shards,
         capacity: KEY_RANGE * 2,
         middleware,
-        batch,
-        thread_per_conn,
         ..ServerConfig::default()
     })
     .expect("bench server boots");
@@ -261,16 +258,11 @@ fn run_point(
         shards,
         pipeline,
         middleware_depth,
-        batch,
-        plane: if thread_per_conn {
-            "threaded"
-        } else {
-            "event_loop"
-        },
         mix,
         elapsed,
         total_ops,
         applied: stats.applied,
+        shard_batches: stats.shard_batches,
         get_hits: stats.get_hits,
         gets: stats.gets,
     }
@@ -279,7 +271,6 @@ fn run_point(
 /// Best-of-`runs` for the headline comparisons: closed-loop throughput
 /// noise on a shared box is one-sided (scheduler interference only
 /// slows a run down), so the max is the least-biased estimator.
-#[allow(clippy::too_many_arguments)]
 fn run_best(
     runs: usize,
     clients: usize,
@@ -287,22 +278,10 @@ fn run_best(
     pipeline: usize,
     window: Duration,
     middleware: &MiddlewareConfig,
-    batch: bool,
     mix: Mix,
 ) -> Point {
     (0..runs)
-        .map(|_| {
-            run_point(
-                clients,
-                shards,
-                pipeline,
-                window,
-                middleware.clone(),
-                batch,
-                false,
-                mix,
-            )
-        })
+        .map(|_| run_point(clients, shards, pipeline, window, middleware.clone(), mix))
         .max_by(|a, b| a.ops_per_sec().total_cmp(&b.ops_per_sec()))
         .expect("at least one run")
 }
@@ -310,13 +289,11 @@ fn run_best(
 fn write_point(out: &mut String, p: &Point) {
     let _ = write!(
         out,
-        "{{\"clients\": {}, \"shards\": {}, \"pipeline\": {}, \"middleware_depth\": {}, \"batch\": {}, \"plane\": \"{}\", \"mix\": \"{}\", \"elapsed_ms\": {}, \"total_ops\": {}, \"ops_per_sec\": {:.0}, \"applied\": {}, \"gets\": {}, \"get_hits\": {}}}",
+        "{{\"clients\": {}, \"shards\": {}, \"pipeline\": {}, \"middleware_depth\": {}, \"mix\": \"{}\", \"elapsed_ms\": {}, \"total_ops\": {}, \"ops_per_sec\": {:.0}, \"applied\": {}, \"gets\": {}, \"get_hits\": {}}}",
         p.clients,
         p.shards,
         p.pipeline,
         p.middleware_depth,
-        p.batch,
-        p.plane,
         p.mix.label(),
         p.elapsed.as_millis(),
         p.total_ops,
@@ -334,32 +311,13 @@ fn overhead_pct(fast: &Point, slow: &Point) -> f64 {
 }
 
 /// The (base, high) pair the `conn_scaling_x` ratio is computed over:
-/// event-loop points at 4 and 256 connections when the sweep includes
-/// them, otherwise the narrowest and widest counts swept.
+/// the points at 4 and 256 connections when the sweep includes them,
+/// otherwise the narrowest and widest counts swept.
 fn conn_scaling_pair(conns: &[Point]) -> Option<(&Point, &Point)> {
-    let at = |want: usize| {
-        conns
-            .iter()
-            .find(|p| p.plane == "event_loop" && p.clients == want)
-    };
-    let base = at(4).or_else(|| {
-        conns
-            .iter()
-            .filter(|p| p.plane == "event_loop")
-            .min_by_key(|p| p.clients)
-    })?;
-    let high = at(256).or_else(|| {
-        conns
-            .iter()
-            .filter(|p| p.plane == "event_loop")
-            .max_by_key(|p| p.clients)
-    })?;
+    let at = |want: usize| conns.iter().find(|p| p.clients == want);
+    let base = at(4).or_else(|| conns.iter().min_by_key(|p| p.clients))?;
+    let high = at(256).or_else(|| conns.iter().max_by_key(|p| p.clients))?;
     (base.clients < high.clients).then_some((base, high))
-}
-
-struct GroupCommit {
-    batched: Point,
-    unbatched: Point,
 }
 
 /// The sampled-tracing A/B: the full stack with span sampling off vs
@@ -507,9 +465,8 @@ fn run_dispatch(pairs: usize, window: Duration) -> Dispatch {
 const OVERLOAD_STALL: Duration = Duration::from_millis(1);
 /// The shed-on side's queue-depth threshold. Two clients flooding
 /// 32-deep write bursts over the stalled shards hold each queue well
-/// past this, so the shedder demonstrably fires on either connection
-/// plane (at 8 it sat right at the expected depth and shedding was
-/// marginal).
+/// past this, so the shedder demonstrably fires (at 8 it sat right at
+/// the expected depth and shedding was marginal).
 const OVERLOAD_SHED_DEPTH: u64 = 4;
 /// Fixed load shape for the overload A/B (small on purpose — the
 /// stalled shards, not the socket plane, are the bottleneck).
@@ -606,7 +563,7 @@ fn write_json(
     sweep: &[Point],
     batch_depth: &[Point],
     overhead_pair: &[Point],
-    commit: &GroupCommit,
+    commit: &Point,
     conns: &[Point],
     obs: &ObservabilityOverhead,
     tracing: &TracingOverhead,
@@ -643,13 +600,13 @@ fn write_json(
         out.push_str(if i + 1 < conns.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ]");
-    // conn_scaling: the event-loop plane's sustained throughput at 256
-    // connections relative to 4 (or the widest/narrowest swept counts)
-    // — fan-in across the loops must not collapse as connections grow.
+    // conn_scaling: sustained throughput at 256 connections relative
+    // to 4 (or the widest/narrowest swept counts) — fan-in across the
+    // loops must not collapse as connections grow.
     if let Some((base, high)) = conn_scaling_pair(conns) {
         let _ = write!(
             out,
-            ",\n  \"conn_scaling\": {{\"plane\": \"event_loop\", \"base_clients\": {}, \"high_clients\": {}, \"base_ops_per_sec\": {:.0}, \"high_ops_per_sec\": {:.0}, \"conn_scaling_x\": {:.3}, \"target_x\": 0.9}}",
+            ",\n  \"conn_scaling\": {{\"base_clients\": {}, \"high_clients\": {}, \"base_ops_per_sec\": {:.0}, \"high_ops_per_sec\": {:.0}, \"conn_scaling_x\": {:.3}, \"target_x\": 0.9}}",
             base.clients,
             high.clients,
             base.ops_per_sec(),
@@ -701,18 +658,17 @@ fn write_json(
         // middleware_overhead: the batched pipeline's throughput cost —
         // how much slower the same load runs at stack depth 7 vs depth
         // 0 (positive = cost; 14.7% pre-batching, target ≤ 8%) — plus
-        // the group-commit comparison: write bursts of 32 through the
-        // full stack, batched vs the per-command path (target ≥ 1.5×).
+        // group commit: write bursts of 32 through the full stack, and
+        // how many of those writes each shard sweep acknowledged.
         let _ = write!(
             out,
-            ",\n  \"middleware_overhead\": {{\"clients\": {}, \"batched\": true, \"depth0_ops_per_sec\": {:.0}, \"depth7_ops_per_sec\": {:.0}, \"overhead_pct\": {:.1}, \"write_batch32_ops_per_sec\": {:.0}, \"write_batch32_unbatched_ops_per_sec\": {:.0}, \"batched_speedup_x\": {:.2}}}",
+            ",\n  \"middleware_overhead\": {{\"clients\": {}, \"depth0_ops_per_sec\": {:.0}, \"depth7_ops_per_sec\": {:.0}, \"overhead_pct\": {:.1}, \"write_batch32_ops_per_sec\": {:.0}, \"mutations_per_sweep\": {:.2}}}",
             depth0.clients,
             depth0.ops_per_sec(),
             depth7.ops_per_sec(),
             overhead_pct(depth0, depth7),
-            commit.batched.ops_per_sec(),
-            commit.unbatched.ops_per_sec(),
-            commit.batched.ops_per_sec() / commit.unbatched.ops_per_sec().max(1e-9),
+            commit.ops_per_sec(),
+            commit.mutations_per_sweep(),
         );
     }
     // overload: the shed A/B under a seeded per-apply stall. With
@@ -750,16 +706,12 @@ fn main() {
         if shared_keys() { "shared" } else { "pinned" }
     );
 
-    let mut table = Table::new([
-        "clients", "mw", "pipe", "batch", "plane", "mix", "Kops/s", "applied", "hit%",
-    ]);
+    let mut table = Table::new(["clients", "mw", "pipe", "mix", "Kops/s", "applied", "hit%"]);
     let row = |p: &Point, table: &mut Table| {
         table.row([
             p.clients.to_string(),
             p.middleware_depth.to_string(),
             p.pipeline.to_string(),
-            if p.batch { "on".into() } else { "off".into() },
-            p.plane.to_string(),
             p.mix.label(),
             fmt_kops(p.ops_per_sec()),
             p.applied.to_string(),
@@ -776,8 +728,6 @@ fn main() {
             pipeline,
             env.duration,
             depth_config(0),
-            true,
-            false,
             STANDARD,
         );
         row(&p, &mut table);
@@ -794,8 +744,6 @@ fn main() {
             depth,
             env.duration,
             depth_config(7),
-            true,
-            false,
             STANDARD,
         );
         row(&p, &mut table);
@@ -815,59 +763,39 @@ fn main() {
             overhead_pipeline,
             env.duration,
             &depth_config(depth),
-            true,
             STANDARD,
         );
         row(&p, &mut table);
         overhead_points.push(p);
     }
 
-    // 4. Group commit: write bursts of 32, batched vs per-command.
-    let commit = GroupCommit {
-        batched: run_best(
-            3,
-            overhead_clients,
-            shards,
-            32,
-            env.duration,
-            &depth_config(7),
-            true,
-            WRITE_HEAVY,
-        ),
-        unbatched: run_best(
-            3,
-            overhead_clients,
-            shards,
-            32,
-            env.duration,
-            &depth_config(7),
-            false,
-            WRITE_HEAVY,
-        ),
-    };
-    row(&commit.batched, &mut table);
-    row(&commit.unbatched, &mut table);
+    // 4. Group commit: write bursts of 32 through the full stack.
+    let commit = run_best(
+        3,
+        overhead_clients,
+        shards,
+        32,
+        env.duration,
+        &depth_config(7),
+        WRITE_HEAVY,
+    );
+    row(&commit, &mut table);
 
     // 5. Connection sweep: the full stack at a fixed pipeline depth,
-    // across connection counts, on both planes — the accept/funnel
-    // scaling curve as an event-loop vs thread-per-connection A/B.
+    // across connection counts — the accept/funnel scaling curve.
     let conn_counts = env_usize_list("DEGO_BENCH_CONNS", &[4, 64, 256, 1024]);
     let mut conn_points = Vec::new();
     for &conns in &conn_counts {
-        for thread_per_conn in [false, true] {
-            let p = run_point(
-                conns,
-                shards,
-                pipeline,
-                env.duration,
-                depth_config(7),
-                true,
-                thread_per_conn,
-                STANDARD,
-            );
-            row(&p, &mut table);
-            conn_points.push(p);
-        }
+        let p = run_point(
+            conns,
+            shards,
+            pipeline,
+            env.duration,
+            depth_config(7),
+            STANDARD,
+        );
+        row(&p, &mut table);
+        conn_points.push(p);
     }
 
     // 6. Observability overhead: the full stack with span sampling off
@@ -886,7 +814,6 @@ fn main() {
             5,
             env.duration,
             &nosample,
-            true,
             STANDARD,
         ),
         sampled: run_best(
@@ -896,7 +823,6 @@ fn main() {
             5,
             env.duration,
             &sampled,
-            true,
             STANDARD,
         ),
     };
@@ -919,7 +845,6 @@ fn main() {
             5,
             env.duration,
             &recording_off,
-            true,
             STANDARD,
         ),
         on: run_best(
@@ -929,7 +854,6 @@ fn main() {
             5,
             env.duration,
             &MiddlewareConfig::full(),
-            true,
             STANDARD,
         ),
     };
@@ -953,14 +877,13 @@ fn main() {
         overhead_points[1].ops_per_sec() as u64
     );
     println!(
-        "group commit at batch 32 (write-heavy): {:.2}x ({} -> {} ops/s)",
-        commit.batched.ops_per_sec() / commit.unbatched.ops_per_sec().max(1e-9),
-        commit.unbatched.ops_per_sec() as u64,
-        commit.batched.ops_per_sec() as u64
+        "group commit at batch 32 (write-heavy): {:.2} mutations per shard sweep ({} ops/s)",
+        commit.mutations_per_sweep(),
+        commit.ops_per_sec() as u64
     );
     if let Some((base, high)) = conn_scaling_pair(&conn_points) {
         println!(
-            "connection scaling (event loop, {} -> {} conns): {:.2}x ({} -> {} ops/s)",
+            "connection scaling ({} -> {} conns): {:.2}x ({} -> {} ops/s)",
             base.clients,
             high.clients,
             high.ops_per_sec() / base.ops_per_sec().max(1e-9),

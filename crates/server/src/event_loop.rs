@@ -1,14 +1,12 @@
-//! The event-loop connection plane: N loop threads (default = core
-//! count) multiplex every connection over raw `epoll`, replacing the
-//! thread-per-connection model on the road to 100k+ connections.
+//! The connection plane: N loop threads (default = core count,
+//! floored at two) multiplex every connection over raw `epoll`.
 //!
 //! Each loop owns a set of nonblocking sockets. A readable connection
-//! has its buffered burst drained, parsed, and driven through the same
-//! per-session middleware chain the threaded plane uses — but the
-//! innermost service *defers* the final ack barrier (see `DeferCell`
-//! in `server.rs`): the burst's mutations are enqueued to the shard
-//! queues and the loop moves straight on to the next readable
-//! connection instead of blocking. Bursts from *different* connections
+//! has its buffered burst drained, parsed, and driven through its
+//! per-session middleware chain, whose innermost service *defers* the
+//! final ack barrier (see `DeferCell` in `server.rs`): the burst's
+//! mutations are enqueued to the shard queues and the loop moves
+//! straight on to the next readable connection instead of blocking. Bursts from *different* connections
 //! therefore pile into the same shard sweep and are acknowledged as
 //! one group — **cross-connection group commit** — which the
 //! `MutationMsg` envelope and `ShardAck::Many` reassembly already
@@ -25,18 +23,19 @@
 //! glibc — the workspace is offline and already declares `signal(2)`
 //! the same way in the server binary.
 //!
-//! **Client-visible semantics are identical to the threaded plane**
-//! (the equivalence suite in `tests/integration_event_loop.rs` pins
-//! byte-identical reply streams): blank keepalive lines, positional
-//! parse errors, `QUIT` discarding the rest of its burst, the UTF-8
-//! error sequence, ack-timeout poisoning, and drain behaviour
-//! (in-flight bursts flush, buffered input is never acknowledged) all
-//! match `serve_connection`.
+//! **Replies are identical to sequential execution**: a pipelined
+//! burst answers byte for byte what the same lines sent one at a time
+//! answer (the equivalence suite in `tests/integration_batch.rs` pins
+//! it against a lockstep client). Blank lines are keepalives, parse
+//! errors keep their positional slot, `QUIT` discards the rest of its
+//! burst, non-UTF-8 input gets a structured error and a close, an ack
+//! timeout poisons the session, and a drain flushes in-flight bursts
+//! but never acknowledges buffered input.
 
 use crate::protocol::{Command, Reply};
 use crate::server::{
-    build_chain, Chain, ConnTuning, DeferCell, ExecService, PendingSlot, ACK_TIMEOUT_MSG,
-    LINE_TOO_LONG_MSG, MAX_LINE_BYTES,
+    build_chain, Chain, DeferCell, ExecService, PendingSlot, ACK_TIMEOUT_MSG, LINE_TOO_LONG_MSG,
+    MAX_LINE_BYTES,
 };
 use crate::stats::ServerStats;
 use crate::store::{ShardAck, Store};
@@ -235,7 +234,8 @@ pub(crate) struct LoopCtx {
     pub(crate) stack: Arc<Stack>,
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) ready: Arc<AtomicBool>,
-    pub(crate) tuning: ConnTuning,
+    /// Overall shard-ack deadline per deferred burst (and per drain).
+    pub(crate) ack_timeout: Duration,
     /// Close connections idle past this deadline (`--idle-timeout-ms`;
     /// `None` = never).
     pub(crate) idle_timeout: Option<Duration>,
@@ -249,8 +249,8 @@ enum Emit {
 }
 
 /// A burst whose final ack barrier was deferred: the loop completes it
-/// when the acks arrive (or poisons the session at the deadline,
-/// exactly like the threaded plane's overall burst deadline).
+/// when the acks arrive (or poisons the session at the deadline, as a
+/// synchronous barrier's overall burst deadline does).
 struct Awaiting {
     emits: Vec<Emit>,
     received: HashMap<u64, Reply>,
@@ -301,7 +301,7 @@ pub(crate) fn run_loop(ctx: LoopCtx) {
         stack,
         shutdown,
         ready,
-        tuning,
+        ack_timeout,
         idle_timeout,
     } = ctx;
     epoll
@@ -316,7 +316,7 @@ pub(crate) fn run_loop(ctx: LoopCtx) {
         stack,
         shutdown,
         ready,
-        tuning,
+        ack_timeout,
         idle_timeout,
         conns: HashMap::new(),
         awaiting: HashSet::new(),
@@ -335,8 +335,7 @@ pub(crate) fn run_loop(ctx: LoopCtx) {
                 return;
             }
             // A peer that stops reading must not wedge the drain
-            // forever (the threaded plane would block in write_all;
-            // here we bound it by the ack deadline and cut).
+            // forever: bound it by the ack deadline and cut.
             if el
                 .drain_deadline
                 .is_some_and(|deadline| Instant::now() >= deadline)
@@ -382,7 +381,7 @@ struct EventLoop {
     stack: Arc<Stack>,
     shutdown: Arc<AtomicBool>,
     ready: Arc<AtomicBool>,
-    tuning: ConnTuning,
+    ack_timeout: Duration,
     idle_timeout: Option<Duration>,
     conns: HashMap<u64, Conn>,
     /// Tokens with a deferred burst outstanding (kept separately so an
@@ -425,11 +424,11 @@ impl EventLoop {
             Arc::clone(&self.stats),
             Arc::clone(&self.ready),
             token,
-            self.tuning.ack_timeout,
+            self.ack_timeout,
             ack_tx,
             Rc::clone(&ack_rx),
-            Some(Rc::clone(&defer)),
-            Some(Arc::clone(&self.waker)),
+            Rc::clone(&defer),
+            Arc::clone(&self.waker),
         );
         let chain = build_chain(&self.stack, &session, exec);
         let fd = socket.as_raw_fd();
@@ -459,10 +458,10 @@ impl EventLoop {
 
     /// Shutdown observed: stop reading everywhere, flush what is owed,
     /// and let in-flight deferred bursts complete. Buffered input is
-    /// never acknowledged — exactly the threaded plane's drain.
+    /// never acknowledged.
     fn begin_drain(&mut self) {
         self.draining = true;
-        self.drain_deadline = Some(Instant::now() + self.tuning.ack_timeout);
+        self.drain_deadline = Some(Instant::now() + self.ack_timeout);
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             let Some(mut conn) = self.conns.remove(&token) else {
@@ -577,10 +576,10 @@ impl EventLoop {
         self.flush(conn);
     }
 
-    /// Drive one burst through the middleware chain. Mirrors the
-    /// threaded plane's parse/dispatch/emit walk line for line — the
-    /// only difference is that slots whose acks were deferred become
-    /// `Emit::Pending` placeholders instead of blocking here.
+    /// Drive one burst through the middleware chain: parse, dispatch,
+    /// and emit one reply per line in order. Slots whose acks were
+    /// deferred become `Emit::Pending` placeholders instead of blocking
+    /// here.
     fn dispatch(&mut self, conn: &mut Conn, lines: Vec<String>, bad_utf8: bool) {
         /// What one request line turned into (parse errors keep their
         /// positional slot).
@@ -618,7 +617,7 @@ impl EventLoop {
             // Singletons keep the unamortized path (and its per-command
             // metrics); nothing to group-commit in a burst of one.
             1 => vec![conn.chain.call_one(requests.pop().expect("one request"))],
-            _ if self.tuning.batch => {
+            _ => {
                 // Arm the deferral for exactly this call: the innermost
                 // service skips its final barrier and parks unresolved
                 // slots in the cell instead.
@@ -627,11 +626,6 @@ impl EventLoop {
                 conn.defer.disarm();
                 responses
             }
-            // --no-batch: the per-command A/B path, one call per line.
-            _ => requests
-                .into_iter()
-                .map(|req| conn.chain.call_one(req))
-                .collect(),
         };
         let (pending, received) = conn.defer.take_output();
         let mut pending = pending.into_iter();
@@ -664,9 +658,9 @@ impl EventLoop {
             }
         }
         if bad_utf8 && !closing {
-            // Mirror the threaded plane's error arms, positioned after
-            // the burst's replies: non-UTF-8 input gets its structured
-            // error, and the byte stream is unrecoverable — hang up.
+            // Positioned after the burst's replies: non-UTF-8 input
+            // gets its structured error, and the byte stream is
+            // unrecoverable — hang up.
             self.stats.note_error();
             let mut rendered = String::new();
             Reply::Error("protocol requires UTF-8 input".into()).render(&mut rendered);
@@ -677,7 +671,7 @@ impl EventLoop {
             conn.awaiting = Some(Awaiting {
                 emits,
                 received,
-                deadline: Instant::now() + self.tuning.ack_timeout,
+                deadline: Instant::now() + self.ack_timeout,
                 closing,
             });
         } else {
@@ -727,9 +721,9 @@ impl EventLoop {
 
     /// Render a completed (or deadline-poisoned) deferred burst into
     /// the out queue. On timeout the missing slots answer the same
-    /// `ACK_TIMEOUT_MSG` the threaded plane's final barrier produces,
-    /// and the session closes — a late ack could otherwise desync
-    /// every later request/reply pairing.
+    /// `ACK_TIMEOUT_MSG` a synchronous barrier produces, and the
+    /// session closes — a late ack could otherwise desync every later
+    /// request/reply pairing.
     fn resolve(&mut self, conn: &mut Conn, aw: Awaiting, timed_out: bool) {
         let Awaiting {
             emits,
@@ -924,11 +918,12 @@ fn overlong_line_at(rbuf: &[u8], fresh: usize) -> Option<usize> {
 }
 
 /// Extract the next burst from `rbuf`: up to [`MAX_BURST_LINES`]
-/// complete lines (plus, at EOF, the final unterminated line — the
-/// threaded plane's `read_line` serves that too). A line that is not
-/// valid UTF-8 ends the burst with `bad_utf8` set; everything consumed
-/// is removed from the buffer, and the caller discards the rest by
-/// closing. Mirrors `BufReader::read_line` semantics byte for byte.
+/// complete lines (plus, at EOF, the final unterminated line, which is
+/// served like any other). A line that is not valid UTF-8 ends the
+/// burst with `bad_utf8` set; everything consumed is removed from the
+/// buffer, and the caller discards the rest by closing. Burst
+/// boundaries are invisible to the client: replies are identical to
+/// sending the lines one at a time.
 fn split_burst(rbuf: &mut Vec<u8>, eof: bool) -> (Vec<String>, bool) {
     let mut consumed = 0usize;
     let mut lines = Vec::new();

@@ -1,14 +1,10 @@
-//! The TCP front-end: accept loop, the connection planes, the
-//! middleware pipeline, batched pipelining and shutdown.
+//! The TCP front-end: accept loop, the middleware pipeline, batched
+//! pipelining and shutdown.
 //!
-//! Connections are served by one of two **planes**: the default
-//! event-loop plane (`event_loop.rs` — N epoll loop threads
-//! multiplexing every connection, deferring ack barriers so bursts
-//! from different connections group-commit into one shard sweep) or
-//! the original thread-per-connection plane behind
-//! [`ServerConfig::thread_per_conn`], kept for A/B equivalence and
-//! regression measurement. Both planes drive the same per-session
-//! middleware chain and are byte-identical on the wire.
+//! The accept thread hands every socket, round-robin, to one of N
+//! epoll event loops (`event_loop.rs`), which multiplex their
+//! connections and defer ack barriers so bursts from different
+//! connections group-commit into one shard sweep.
 //!
 //! A connection parses request lines and drives them through
 //! its session's middleware [`Stack`] admission driver (trace →
@@ -23,14 +19,13 @@
 //! connection (the shard applied it before acking, and segment
 //! publication is release/acquire).
 //!
-//! Pipelining is **batched end to end** (unless
-//! [`ServerConfig::batch`] is off): the whole buffered burst is
+//! Pipelining is **batched end to end**: the whole buffered burst is
 //! drained into one `Vec<Request>` and driven through
 //! [`Service::call_batch`], so each admission phase runs once per
 //! burst; below the stack, the burst's mutations are enqueued
 //! tagged with sequence numbers, shard owners group-acknowledge each
 //! drained batch, and the replies are reassembled in request order and
-//! written with a single buffered socket write.
+//! written with one vectored socket write.
 //!
 //! Within a burst, replies are byte-identical to sequential execution:
 //! mutations keep per-key order through the FIFO shard queues, and a
@@ -48,12 +43,11 @@ use dego_middleware::{
 };
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -118,28 +112,17 @@ pub struct ServerConfig {
     /// The middleware pipeline in front of the store (default: none —
     /// requests go straight to the storage plane).
     pub middleware: MiddlewareConfig,
-    /// Drive pipelined bursts through the batched `call_batch` path
-    /// (default). Off = the pre-batching per-command path, kept for
-    /// A/B benchmarking and equivalence tests.
-    pub batch: bool,
     /// How long a connection waits for shard acknowledgements before
     /// poisoning itself — **one overall deadline per burst or
     /// fan-out**, not per ack (only reachable when a shard is stuck or
     /// shutting down mid-request).
     pub ack_timeout: Duration,
-    /// Serve every connection on its own blocking OS thread instead of
-    /// the event-loop plane (`--thread-per-conn`). The pre-event-loop
-    /// architecture, kept for A/B equivalence and regression
-    /// measurement — it can never reach the 100k+ connection regime.
-    pub thread_per_conn: bool,
     /// Number of event-loop threads (`--event-loops`); `0` (the
-    /// default) means one per available core. Ignored when
-    /// `thread_per_conn` is set.
+    /// default) means one per available core, floored at two.
     pub event_loops: usize,
     /// Close connections that have read nothing for this long
     /// (`--idle-timeout-ms`), freeing their fds; `None` (the default)
-    /// never reaps. Event-loop plane only — an idle threaded
-    /// connection parks its own thread and leaks nothing shared.
+    /// never reaps.
     pub idle_timeout: Option<Duration>,
     /// Test hook: inject `accept()` failures (fd-pressure regression
     /// tests). Leave `None` in production.
@@ -157,9 +140,7 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".parse().expect("literal addr"),
             metrics_addr: None,
             middleware: MiddlewareConfig::none(),
-            batch: true,
             ack_timeout: Duration::from_secs(5),
-            thread_per_conn: false,
             event_loops: 0,
             idle_timeout: None,
             accept_hook: None,
@@ -185,7 +166,6 @@ pub struct ServerHandle {
     accept_thread: Option<JoinHandle<()>>,
     metrics_thread: Option<JoinHandle<()>>,
     shard_threads: Vec<JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
     loop_threads: Vec<JoinHandle<()>>,
     loop_wakers: Vec<Arc<LoopWaker>>,
 }
@@ -259,13 +239,9 @@ impl ServerHandle {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        let conns = std::mem::take(&mut *self.connections.lock().expect("connection registry"));
-        for c in conns {
-            let _ = c.join();
-        }
-        // Event-loop plane: wake every loop so it observes the flag,
-        // then join. Before the shard threads go down, so in-flight
-        // deferred bursts still receive their acks while draining.
+        // Wake every loop so it observes the flag, then join. Before
+        // the shard threads go down, so in-flight deferred bursts still
+        // receive their acks while draining.
         for waker in &self.loop_wakers {
             waker.wake();
         }
@@ -317,7 +293,6 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         config.shard_delay,
         config.middleware.trace.window_secs,
     );
-    let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
     // The shed layer's pressure probe reads the live shard telemetry;
     // the store exists only now, so the probe is seated post-build.
     // A no-op when the shed layer is not configured.
@@ -325,100 +300,49 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         store: Arc::clone(&runtime.store),
     }));
 
-    let tuning = ConnTuning {
-        batch: config.batch,
-        ack_timeout: config.ack_timeout,
+    // One loop per core, floored at two. A dispatch can still block its
+    // loop for a bounded stretch (a span-sampled burst waits for its
+    // store segments, a read-after-write barrier waits for acks), and
+    // with a single loop that would head-of-line block every other
+    // connection on the box — two is the minimum that keeps one
+    // stalled burst from serializing the whole connection plane. An
+    // explicit `--event-loops 1` is honored (A/B runs and
+    // reproductions).
+    let loops = if config.event_loops == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .max(2)
+    } else {
+        config.event_loops
     };
-    // DEGO_TEST_THREAD_PER_CONN=1 forces the threaded plane without
-    // touching the config — the CI matrix leg that runs the whole
-    // tier-1 suite against the A/B fallback.
-    let thread_per_conn = config.thread_per_conn
-        || std::env::var("DEGO_TEST_THREAD_PER_CONN").is_ok_and(|v| v == "1");
-
-    // The accept loop is plane-agnostic: it hands each accepted socket
-    // (plus its global connection id) to a dispatch sink. The threaded
-    // plane spawns a dedicated thread per socket; the event-loop plane
-    // round-robins sockets across the loop threads and wakes the
-    // target's epoll.
     let mut loop_threads: Vec<JoinHandle<()>> = Vec::new();
     let mut loop_wakers: Vec<Arc<LoopWaker>> = Vec::new();
-    let dispatch: DispatchSink = if thread_per_conn {
-        let store = Arc::clone(&runtime.store);
-        let stats = Arc::clone(&stats);
-        let stack = Arc::clone(&stack);
-        let flag = Arc::clone(&shutdown);
-        let ready = Arc::clone(&ready);
-        let connections = Arc::clone(&connections);
-        Box::new(move |socket, conn| {
-            let store = Arc::clone(&store);
-            let stats = Arc::clone(&stats);
-            let stack = Arc::clone(&stack);
-            let flag = Arc::clone(&flag);
-            let ready = Arc::clone(&ready);
-            let handle = std::thread::Builder::new()
-                .name(format!("dego-conn-{conn}"))
-                .spawn(move || {
-                    let _ =
-                        serve_connection(socket, store, stats, stack, flag, ready, conn, tuning);
-                })
-                .expect("spawn connection thread");
-            let mut registry = connections.lock().expect("connection registry");
-            // Reap dead sessions so a long-lived server with connection
-            // churn does not accumulate handles without bound.
-            registry.retain(|h| !h.is_finished());
-            registry.push(handle);
-        })
-    } else {
-        // Default: one loop per core, floored at two. A dispatch can
-        // still block its loop for a bounded stretch (a span-sampled
-        // burst waits for its store segments, a read-after-write
-        // barrier waits for acks), and with a single loop that would
-        // head-of-line block every other connection on the box — two
-        // is the minimum that keeps one stalled burst from serializing
-        // the whole connection plane. An explicit `--event-loops 1`
-        // is honored (A/B runs and reproductions).
-        let loops = if config.event_loops == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .max(2)
-        } else {
-            config.event_loops
+    let mut sinks: Vec<LoopSink> = Vec::new();
+    for i in 0..loops {
+        let waker = Arc::new(LoopWaker::new()?);
+        let epoll = Epoll::new()?;
+        let (conn_tx, conn_rx) = channel::<(TcpStream, u64)>();
+        let ctx = LoopCtx {
+            epoll,
+            waker: Arc::clone(&waker),
+            inbox: conn_rx,
+            store: Arc::clone(&runtime.store),
+            stats: Arc::clone(&stats),
+            stack: Arc::clone(&stack),
+            shutdown: Arc::clone(&shutdown),
+            ready: Arc::clone(&ready),
+            ack_timeout: config.ack_timeout,
+            idle_timeout: config.idle_timeout,
         };
-        let mut senders: Vec<LoopSink> = Vec::new();
-        for i in 0..loops {
-            let waker = Arc::new(LoopWaker::new()?);
-            let epoll = Epoll::new()?;
-            let (conn_tx, conn_rx) = channel::<(TcpStream, u64)>();
-            let ctx = LoopCtx {
-                epoll,
-                waker: Arc::clone(&waker),
-                inbox: conn_rx,
-                store: Arc::clone(&runtime.store),
-                stats: Arc::clone(&stats),
-                stack: Arc::clone(&stack),
-                shutdown: Arc::clone(&shutdown),
-                ready: Arc::clone(&ready),
-                tuning,
-                idle_timeout: config.idle_timeout,
-            };
-            loop_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("dego-loop-{i}"))
-                    .spawn(move || run_loop(ctx))?,
-            );
-            senders.push((conn_tx, Arc::clone(&waker)));
-            loop_wakers.push(waker);
-        }
-        let mut next = 0usize;
-        Box::new(move |socket, conn| {
-            let (conn_tx, waker) = &senders[next];
-            next = (next + 1) % senders.len();
-            if conn_tx.send((socket, conn)).is_ok() {
-                waker.wake();
-            }
-        })
-    };
+        loop_threads.push(
+            std::thread::Builder::new()
+                .name(format!("dego-loop-{i}"))
+                .spawn(move || run_loop(ctx))?,
+        );
+        sinks.push((conn_tx, Arc::clone(&waker)));
+        loop_wakers.push(waker);
+    }
 
     let accept_thread = {
         let stats = Arc::clone(&stats);
@@ -426,7 +350,7 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         let hook = config.accept_hook.clone();
         std::thread::Builder::new()
             .name("dego-accept".into())
-            .spawn(move || accept_loop(listener, stats, shutdown, dispatch, hook))
+            .spawn(move || accept_loop(listener, stats, shutdown, sinks, hook))
             .expect("spawn accept thread")
     };
 
@@ -458,25 +382,13 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         accept_thread: Some(accept_thread),
         metrics_thread,
         shard_threads: runtime.threads,
-        connections,
         loop_threads,
         loop_wakers,
     })
 }
 
-/// The accept loop's per-socket sink (see `spawn`).
-type DispatchSink = Box<dyn FnMut(TcpStream, u64) + Send>;
-
 /// One event loop's connection inlet plus its epoll doorbell.
 type LoopSink = (Sender<(TcpStream, u64)>, Arc<LoopWaker>);
-
-/// Per-connection knobs threaded from the config into each session
-/// (shared by both connection planes).
-#[derive(Clone, Copy)]
-pub(crate) struct ConnTuning {
-    pub(crate) batch: bool,
-    pub(crate) ack_timeout: Duration,
-}
 
 /// The shed layer's window onto live shard pressure: routes a write
 /// the way [`ExecService::plan_mutation`] will (same `home_segment`
@@ -523,8 +435,7 @@ impl PressureProbe for StorePressure {
 /// move.
 pub(crate) type Chain = Box<FusedService<ExecService>>;
 
-/// Build one connection's dispatch chain around its innermost service
-/// (shared by both connection planes).
+/// Build one connection's dispatch chain around its innermost service.
 pub(crate) fn build_chain(stack: &Arc<Stack>, session: &Session, exec: ExecService) -> Chain {
     Box::new(
         stack
@@ -546,7 +457,7 @@ fn accept_loop(
     listener: TcpListener,
     stats: Arc<ServerStats>,
     shutdown: Arc<AtomicBool>,
-    mut dispatch: DispatchSink,
+    sinks: Vec<LoopSink>,
     hook: Option<AcceptHook>,
 ) {
     let mut next_conn = 0u64;
@@ -580,7 +491,12 @@ fn accept_loop(
             return;
         }
         stats.note_connection();
-        dispatch(socket, next_conn);
+        // Round-robin across the loops; the doorbell makes the target's
+        // `epoll_wait` pick the socket up.
+        let (conn_tx, waker) = &sinks[next_conn as usize % sinks.len()];
+        if conn_tx.send((socket, next_conn)).is_ok() {
+            waker.wake();
+        }
         next_conn += 1;
     }
 }
@@ -643,8 +559,8 @@ pub(crate) enum PendingSlot {
 /// what lets bursts from many connections share one shard sweep.
 ///
 /// Mid-burst barriers (read-after-write and friends) stay synchronous
-/// inside `call_batch`, so reply bytes are identical to the threaded
-/// plane.
+/// inside `call_batch`, so reply bytes are identical to sequential
+/// execution.
 pub(crate) struct DeferCell {
     armed: Cell<bool>,
     pending: RefCell<Vec<PendingSlot>>,
@@ -716,19 +632,16 @@ pub(crate) struct ExecService {
     /// Shared with the event loop (which drains deferred acks); the
     /// chain is thread-local, so `Rc` suffices.
     ack_rx: Rc<Receiver<ShardAck>>,
-    /// The deferral contract with the owning event loop; `None` on the
-    /// threaded plane (every barrier synchronous).
-    defer: Option<Rc<DeferCell>>,
+    /// The deferral contract with the owning event loop.
+    defer: Rc<DeferCell>,
     /// The owning event loop's `epoll` waker, carried on every
     /// mutation envelope so a shard's group-ack flush can unblock the
-    /// loop; `None` on the threaded plane (a blocking `recv` needs no
-    /// wakeup).
-    waker: Option<Arc<LoopWaker>>,
+    /// loop.
+    waker: Arc<LoopWaker>,
 }
 
 impl ExecService {
-    /// Wire up the innermost service for one connection. Both planes
-    /// build it; only the event loop passes `defer`/`waker`.
+    /// Wire up the innermost service for one connection.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         store: Arc<Store>,
@@ -738,8 +651,8 @@ impl ExecService {
         ack_timeout: Duration,
         ack_tx: Sender<ShardAck>,
         ack_rx: Rc<Receiver<ShardAck>>,
-        defer: Option<Rc<DeferCell>>,
-        waker: Option<Arc<LoopWaker>>,
+        defer: Rc<DeferCell>,
+        waker: Arc<LoopWaker>,
     ) -> ExecService {
         ExecService {
             store,
@@ -780,7 +693,7 @@ impl ExecService {
 
     /// File one acknowledgement: the reply is keyed by sequence number
     /// for reassembly, and a traced envelope's store-side segment is
-    /// handed to the connection thread's active span (no-op when the
+    /// handed to the loop thread's active span (no-op when the
     /// span already closed — e.g. a late ack after a barrier).
     fn accept_ack(ack: AckItem, received: &mut HashMap<u64, Reply>) {
         if let Some(seg) = ack.seg {
@@ -1192,15 +1105,14 @@ impl Service for ExecService {
         // group commit). A span-sampled burst stays synchronous so its
         // store segments land in the trace tree before the span
         // closes; a poisoned burst already has its answer.
-        let deferring = dead.is_none()
-            && self.defer.as_ref().is_some_and(|cell| cell.consume_armed())
-            && !dego_middleware::span::active();
+        let deferring =
+            dead.is_none() && self.defer.consume_armed() && !dego_middleware::span::active();
         if dead.is_none() && !deferring {
             barrier!();
         }
 
         let missing = dead.unwrap_or(ACK_GONE_MSG);
-        let defer = self.defer.clone();
+        let defer = &self.defer;
         let mut responses: Vec<Response> = reqs
             .iter()
             .zip(slots)
@@ -1210,16 +1122,14 @@ impl Service for ExecService {
                     Slot::Single(seq) => match received.remove(&seq) {
                         Some(reply) => reply,
                         None if deferring => {
-                            let cell = defer.as_ref().expect("deferring implies a cell");
-                            cell.park(PendingSlot::Single(seq));
+                            defer.park(PendingSlot::Single(seq));
                             Reply::Status(PENDING_MARKER)
                         }
                         None => Reply::Error(missing.into()),
                     },
                     Slot::Fanout(seqs) => {
                         if deferring && seqs.iter().any(|seq| !received.contains_key(seq)) {
-                            let cell = defer.as_ref().expect("deferring implies a cell");
-                            cell.park(PendingSlot::Fanout(seqs));
+                            defer.park(PendingSlot::Fanout(seqs));
                             Reply::Status(PENDING_MARKER)
                         } else {
                             Self::fanout_reply(&mut received, &seqs, missing)
@@ -1235,9 +1145,7 @@ impl Service for ExecService {
         if deferring && !received.is_empty() {
             // Acks that arrived early but belong to a parked fan-out:
             // hand them to the loop alongside the parked slots.
-            if let Some(cell) = defer.as_ref() {
-                cell.stash_received(received);
-            }
+            defer.stash_received(received);
         }
         if dead.is_some() {
             // Poisoned: whatever the client was told, the session ends.
@@ -1247,204 +1155,6 @@ impl Service for ExecService {
         }
         responses
     }
-}
-
-/// What one request line of a burst turned into.
-enum LineSlot {
-    /// A parsed command, answered by the service chain (in order).
-    Cmd,
-    /// A parse failure, answered in place.
-    Err(String),
-}
-
-/// One connection's session: parse, drive the middleware chain,
-/// pipeline replies.
-///
-/// Batched mode drains every complete line already buffered into one
-/// burst, drives the parsed commands through `call_batch`, and writes
-/// the replies (parse errors stitched back in positionally) with one
-/// buffered socket write. Blank/whitespace-only lines are keepalives:
-/// skipped before parsing and before any counter or rate-limit token
-/// is touched, Redis-style.
-#[allow(clippy::too_many_arguments)]
-fn serve_connection(
-    socket: TcpStream,
-    store: Arc<Store>,
-    stats: Arc<ServerStats>,
-    stack: Arc<Stack>,
-    shutdown: Arc<AtomicBool>,
-    ready: Arc<AtomicBool>,
-    conn: u64,
-    tuning: ConnTuning,
-) -> std::io::Result<()> {
-    socket.set_nodelay(true)?;
-    socket.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let session = Session {
-        client: socket
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "unknown".to_string()),
-    };
-    let mut reader = BufReader::new(socket.try_clone()?);
-    let mut writer = BufWriter::new(socket);
-    let (ack_tx, ack_rx) = channel::<ShardAck>();
-    let exec = ExecService::new(
-        store,
-        Arc::clone(&stats),
-        ready,
-        conn,
-        tuning.ack_timeout,
-        ack_tx,
-        Rc::new(ack_rx),
-        None,
-        None,
-    );
-    let mut chain = build_chain(&stack, &session, exec);
-    let mut line = String::new();
-    let mut out = String::new();
-
-    loop {
-        // Read at most one byte past the line limit, so an
-        // unterminated stream stops growing `line` there.
-        let budget = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
-        match reader.by_ref().take(budget).read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line.len() > MAX_LINE_BYTES && !line.ends_with('\n') => {
-                stats.note_error();
-                stats.note_line_too_long();
-                Reply::Error(LINE_TOO_LONG_MSG.into()).render(&mut out);
-                break;
-            }
-            Ok(_) => {
-                // Drain the whole buffered burst: every complete line
-                // already in the buffer parses into the same batch
-                // (reading them cannot block — the newline is there).
-                let mut lines = vec![std::mem::take(&mut line)];
-                let mut burst_err: Option<std::io::Error> = None;
-                while tuning.batch && reader.buffer().contains(&b'\n') {
-                    let mut next = String::new();
-                    match reader.read_line(&mut next) {
-                        Ok(0) => break,
-                        Ok(_) => lines.push(next),
-                        Err(e) => {
-                            // A failed mid-burst line (non-UTF-8 bytes)
-                            // must answer like the sequential path —
-                            // after the valid lines before it — not be
-                            // swallowed reply-less.
-                            burst_err = Some(e);
-                            break;
-                        }
-                    }
-                }
-                let mut requests: Vec<Request> = Vec::new();
-                let mut line_slots: Vec<LineSlot> = Vec::new();
-                for raw in &lines {
-                    let text = raw.trim_end_matches('\n');
-                    // Blank lines are keepalives: no command, no error,
-                    // no token — skip before any accounting.
-                    if text.trim().is_empty() {
-                        continue;
-                    }
-                    stats.note_command();
-                    match Command::parse(text) {
-                        Ok(cmd) => {
-                            let quit = matches!(cmd, Command::Quit);
-                            requests.push(Request::new(cmd));
-                            line_slots.push(LineSlot::Cmd);
-                            if quit {
-                                // Input after QUIT is discarded, as the
-                                // sequential path always did.
-                                break;
-                            }
-                        }
-                        Err(e) => line_slots.push(LineSlot::Err(e.0)),
-                    }
-                }
-                // Singletons keep the unamortized path: its per-command
-                // metrics (class latency histograms) stay meaningful.
-                let responses = match requests.len() {
-                    0 => Vec::new(),
-                    1 => vec![chain.call_one(requests.pop().expect("one request"))],
-                    _ => chain.call_batch(requests),
-                };
-                let mut responses = responses.into_iter();
-                let mut closing = false;
-                for slot in line_slots {
-                    let (reply, close) = match slot {
-                        LineSlot::Cmd => {
-                            let resp = responses.next().expect("one response per command");
-                            (resp.reply, resp.close)
-                        }
-                        LineSlot::Err(e) => (Reply::Error(e), false),
-                    };
-                    if matches!(reply, Reply::Error(_)) {
-                        stats.note_error();
-                    }
-                    reply.render(&mut out);
-                    if close {
-                        closing = true;
-                        break;
-                    }
-                }
-                if let Some(e) = burst_err {
-                    if !closing {
-                        // Mirror the outer error arms, positioned after
-                        // the burst's replies: non-UTF-8 input gets its
-                        // structured error, and either way the byte
-                        // stream is unrecoverable — hang up.
-                        if e.kind() == ErrorKind::InvalidData {
-                            stats.note_error();
-                            Reply::Error("protocol requires UTF-8 input".into()).render(&mut out);
-                        }
-                        closing = true;
-                    }
-                }
-                // Pipelining: only pay a socket write once no complete
-                // line remains buffered.
-                if !out.is_empty() && !reader.buffer().contains(&b'\n') {
-                    writer.write_all(out.as_bytes())?;
-                    writer.flush()?;
-                    out.clear();
-                }
-                if closing {
-                    break;
-                }
-                // Draining: this burst's replies are flushed, so stop
-                // reading new requests and hang up. Input still in the
-                // socket buffer was never acknowledged.
-                if out.is_empty() && shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                // Idle tick: push out anything buffered, check for
-                // shutdown. A partially read line stays in `line`.
-                if !out.is_empty() {
-                    writer.write_all(out.as_bytes())?;
-                    writer.flush()?;
-                    out.clear();
-                }
-                if shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == ErrorKind::InvalidData => {
-                // Non-UTF-8 bytes: this is a text protocol. Say why,
-                // then hang up (the byte stream is unrecoverable —
-                // read_line cannot tell where the bad input ended).
-                stats.note_error();
-                Reply::Error("protocol requires UTF-8 input".into()).render(&mut out);
-                break;
-            }
-            Err(_) => break,
-        }
-    }
-    if !out.is_empty() {
-        writer.write_all(out.as_bytes())?;
-        writer.flush()?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use dego_metrics::ContentionSnapshot;
 use dego_middleware::StatLines;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Relaxed event counters bumped by the connection threads.
+/// Relaxed event counters bumped on the request path.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     connections: AtomicU64,

@@ -2,9 +2,9 @@
 //! robustness fixes, over real loopback TCP:
 //!
 //! * **batch ≡ sequential**: randomized pipelined scripts (kv + social
-//!   verbs + parse errors) produce byte-identical reply streams on a
-//!   batching server and a `batch: false` server, with and without the
-//!   full middleware stack;
+//!   verbs + parse errors) produce byte-identical reply streams to a
+//!   lockstep client that sends one line at a time, with and without
+//!   the full middleware stack;
 //! * **accept backoff**: injected `accept()` failures (fd pressure)
 //!   are counted in `STATS` and back off instead of busy-spinning;
 //! * **fan-out deadline**: a stuck shard costs a `POST` one overall
@@ -13,137 +13,109 @@
 //! * **blank lines**: keepalive newlines burn no stats and no
 //!   rate-limit tokens.
 
-use dego_metrics::rng::XorShift64;
 use dego_server::{
-    spawn, AcceptHook, Client, MiddlewareConfig, Role, ServerConfig, ServerHandle, TokenSpec,
+    spawn, AcceptHook, Client, ClientReply, MiddlewareConfig, Role, ServerConfig, ServerHandle,
+    TokenSpec,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod common;
-use common::shards;
+use common::{drive, drive_lockstep, random_script, shards};
 
-fn boot(batch: bool, middleware: MiddlewareConfig) -> ServerHandle {
+fn boot(middleware: MiddlewareConfig) -> ServerHandle {
     spawn(ServerConfig {
         shards: shards(4),
         capacity: 4096,
-        batch,
         middleware,
         ..ServerConfig::default()
     })
     .expect("server boots")
 }
 
-/// A deterministic pseudo-random script over kv and social verbs (no
-/// `STATS` — its counters legitimately differ between the two paths).
-fn random_script(seed: u64, len: usize) -> Vec<String> {
-    let mut rng = XorShift64::new(seed);
-    let mut script = Vec::with_capacity(len);
-    for i in 0..len {
-        let key = rng.next_bounded(6);
-        let user = rng.next_bounded(5);
-        let line = match rng.next_bounded(16) {
-            0..=3 => format!("GET k{key}"),
-            4..=5 => format!("SET k{key} v{i}"),
-            6 => format!("DEL k{key}"),
-            7 => format!("INCR c{key} {}", rng.next_bounded(9) as i64 - 4),
-            8 => format!("ADDUSER {user}"),
-            9 => format!("FOLLOW {} {user}", rng.next_bounded(5)),
-            10 => format!("UNFOLLOW {} {user}", rng.next_bounded(5)),
-            11 => format!("POST {user} {i}"),
-            12 => format!("TIMELINE {user}"),
-            13 => format!("ISFOLLOWING {} {user}", rng.next_bounded(5)),
-            14 => match rng.next_bounded(4) {
-                0 => format!("JOIN {user}"),
-                1 => format!("LEAVE {user}"),
-                2 => format!("INGROUP {user}"),
-                _ => format!("PROFILE {user}"),
-            },
-            _ => match rng.next_bounded(3) {
-                0 => "PING".to_string(),
-                1 => format!("FOLLOWERS {user}"),
-                // Parse errors must keep their positional slot.
-                _ => format!("BLORP {i}"),
-            },
-        };
-        script.push(line);
-    }
-    script
+/// Run `script` pipelined (through `pipelined`) on one fresh server
+/// and lockstep on another with the same stack; `login` authenticates
+/// both sessions first. Returns (pipelined, lockstep) reply streams.
+fn against_lockstep(
+    middleware: MiddlewareConfig,
+    login: Option<&str>,
+    script: &[String],
+    pipelined: impl FnOnce(&mut Client, &[String]) -> Vec<ClientReply>,
+) -> (Vec<ClientReply>, Vec<ClientReply>) {
+    let session = || {
+        let server = boot(middleware.clone());
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        if let Some(token) = login {
+            client.auth(token).expect("login");
+        }
+        (server, client)
+    };
+    let (server, mut client) = session();
+    let got = pipelined(&mut client, script);
+    server.shutdown();
+    let (server, mut client) = session();
+    let want = drive_lockstep(&mut client, script);
+    server.shutdown();
+    (got, want)
 }
 
-/// Drive `script` through `client` in pipelined bursts of pseudo-random
-/// sizes, returning the raw reply stream.
-fn drive(client: &mut Client, script: &[String], seed: u64) -> Vec<dego_server::ClientReply> {
-    let mut rng = XorShift64::new(seed);
-    let mut replies = Vec::with_capacity(script.len());
-    let mut at = 0;
-    while at < script.len() {
-        let burst = (1 + rng.next_bounded(48) as usize).min(script.len() - at);
-        replies.extend(
-            client
-                .pipeline(&script[at..at + burst])
-                .expect("pipelined burst"),
-        );
-        at += burst;
-    }
-    replies
-}
-
-/// The tentpole equivalence guarantee: a pipelined burst through
-/// `call_batch` produces byte-identical replies, in order, to the same
-/// commands executed one at a time.
+/// The tentpole equivalence guarantee: pipelined bursts through
+/// `call_batch` — deferred ack barriers, cross-connection group commit,
+/// vectored writes and all — produce byte-identical replies, in order,
+/// to the same lines sent one at a time.
 #[test]
 fn batched_replies_match_sequential_plain() {
-    let batched = boot(true, MiddlewareConfig::none());
-    let unbatched = boot(false, MiddlewareConfig::none());
-    for seed in [0x5eed1, 0x5eed2, 0x5eed3] {
+    for seed in [0x5eed1, 0x5eed2, 0x5eed3, 0xe5001, 0xe5002, 0xe5003] {
         let script = random_script(seed, 400);
-        let mut a = Client::connect(batched.local_addr()).expect("connect");
-        let mut b = Client::connect(unbatched.local_addr()).expect("connect");
-        let got_a = drive(&mut a, &script, seed ^ 0xff);
-        let got_b = drive(&mut b, &script, seed ^ 0xff);
-        assert_eq!(got_a, got_b, "reply streams diverged for seed {seed:#x}");
+        let (got, want) = against_lockstep(MiddlewareConfig::none(), None, &script, |c, s| {
+            drive(c, s, seed ^ 0xff)
+        });
+        assert_eq!(got, want, "reply streams diverged for seed {seed:#x}");
     }
-    batched.shutdown();
-    unbatched.shutdown();
+    // Read-after-write on a few hot keys, all in one burst.
+    let script: Vec<String> = (0..40)
+        .flat_map(|i| {
+            vec![
+                format!("SET k{} v{i}", i % 7),
+                format!("GET k{}", i % 7),
+                format!("INCR n{} 3", i % 3),
+                "BLORP".to_string(), // parse errors keep their slot
+            ]
+        })
+        .collect();
+    let (got, want) = against_lockstep(MiddlewareConfig::none(), None, &script, |c, s| {
+        c.pipeline(s).expect("one burst")
+    });
+    assert_eq!(got, want, "one-burst reply stream diverged");
 }
 
 /// The same equivalence through the full seven-layer stack (generous
 /// limits, so no timing-dependent rejection can fire).
 #[test]
 fn batched_replies_match_sequential_full_stack() {
-    let stack = || {
-        let mut mw = MiddlewareConfig::full();
-        mw.auth.tokens = vec![TokenSpec {
-            name: "writer".into(),
-            token: "sekrit".into(),
-            role: Role::ReadWrite,
-        }];
-        mw.auth.anon_role = Role::ReadWrite;
-        mw.deadline.read_us = 30_000_000;
-        mw.deadline.write_us = 30_000_000;
-        mw
-    };
-    let batched = boot(true, stack());
-    let unbatched = boot(false, stack());
-    // Logins and far-future timers sprinkled through the script make
-    // bursts take the admission driver's sequential split, over the
-    // event loop's deferring dispatch.
-    let mut script = random_script(0xbee5, 400);
-    for at in (20..script.len()).step_by(37).rev() {
-        script.insert(at, format!("EXPIRE k{} 600000", at % 6));
-        script.insert(at - 9, "AUTH sekrit".to_string());
+    let mut mw = MiddlewareConfig::full();
+    mw.auth.tokens = vec![TokenSpec {
+        name: "writer".into(),
+        token: "sekrit".into(),
+        role: Role::ReadWrite,
+    }];
+    mw.auth.anon_role = Role::ReadWrite;
+    mw.deadline.read_us = 30_000_000;
+    mw.deadline.write_us = 30_000_000;
+    // Logins and far-future timers sprinkled through the first script
+    // make bursts take the admission driver's sequential split, over
+    // the event loop's deferring dispatch.
+    let mut split = random_script(0xbee5, 400);
+    for at in (20..split.len()).step_by(37).rev() {
+        split.insert(at, format!("EXPIRE k{} 600000", at % 6));
+        split.insert(at - 9, "AUTH sekrit".to_string());
     }
-    let mut a = Client::connect(batched.local_addr()).expect("connect");
-    let mut b = Client::connect(unbatched.local_addr()).expect("connect");
-    a.auth("sekrit").expect("login");
-    b.auth("sekrit").expect("login");
-    let got_a = drive(&mut a, &script, 7);
-    let got_b = drive(&mut b, &script, 7);
-    assert_eq!(got_a, got_b, "full-stack reply streams diverged");
-    batched.shutdown();
-    unbatched.shutdown();
+    for script in [split, random_script(0xfee1, 400)] {
+        let (got, want) =
+            against_lockstep(mw.clone(), Some("sekrit"), &script, |c, s| drive(c, s, 7));
+        assert_eq!(got, want, "full-stack reply streams diverged");
+    }
 }
 
 /// Regression (fd pressure): persistent `accept()` failures must count
@@ -240,7 +212,7 @@ fn stuck_shard_fanout_times_out_once_overall() {
 #[test]
 fn non_utf8_mid_burst_errors_and_closes() {
     use std::io::{BufRead, BufReader, Read, Write};
-    let server = boot(true, MiddlewareConfig::none());
+    let server = boot(MiddlewareConfig::none());
     let mut socket = std::net::TcpStream::connect(server.local_addr()).expect("connect");
     socket
         .write_all(b"PING\n\xff\xfe garbage\nPING\n")
@@ -272,7 +244,7 @@ fn blank_lines_burn_no_tokens_or_counters() {
     let mut mw = MiddlewareConfig::full();
     mw.rate.burst = 3;
     mw.rate.refill_per_sec = 1;
-    let server = boot(true, mw);
+    let server = boot(mw);
     let mut c = Client::connect(server.local_addr()).expect("connect");
     // Six keepalives would exhaust a burst of 3 if they were charged.
     for _ in 0..6 {

@@ -1,6 +1,6 @@
-//! Per-connection input is bounded on both connection planes: a line
-//! longer than `MAX_LINE_BYTES` is answered `-ERR line too long` after
-//! the lines before it, its connection is closed and counted in
+//! Per-connection input is bounded: a line longer than
+//! `MAX_LINE_BYTES` is answered `-ERR line too long` after the lines
+//! before it, its connection is closed and counted in
 //! `lines_too_long`, and a neighbour connection keeps serving.
 
 use dego_server::{spawn, Client, ServerConfig, MAX_LINE_BYTES};
@@ -11,11 +11,11 @@ use std::time::Duration;
 mod common;
 use common::shards;
 
-fn overlong_line_closes_only_its_connection(thread_per_conn: bool) {
+#[test]
+fn overlong_line_is_rejected_on_the_event_loop() {
     let server = spawn(ServerConfig {
         shards: shards(2),
         capacity: 1024,
-        thread_per_conn,
         ..ServerConfig::default()
     })
     .expect("server boots");
@@ -42,14 +42,4 @@ fn overlong_line_closes_only_its_connection(thread_per_conn: bool) {
     let stats = neighbour.stats_map().expect("stats");
     assert_eq!(stats.get("lines_too_long").map(String::as_str), Some("1"));
     server.shutdown();
-}
-
-#[test]
-fn overlong_line_is_rejected_on_the_event_loop() {
-    overlong_line_closes_only_its_connection(false);
-}
-
-#[test]
-fn overlong_line_is_rejected_thread_per_conn() {
-    overlong_line_closes_only_its_connection(true);
 }
